@@ -9,14 +9,16 @@ Usage:
 
 Global flags: ``--format table|csv|json`` and ``--threads T`` (T may be
 "auto"; the TWOBRIDGE_THREADS environment variable overrides the
-default).  Rationals print as "p/q" in tables and CSV; JSON carries
-them as {"num": "...", "den": "..."} decimal strings, and unbounded
-integer columns as decimal strings, so consumers never face 64-bit
-overflow.
+default).  A command starts at most one process pool, with no more
+workers than CPUs.  Rationals print as "p/q" in tables and CSV; JSON
+carries them as {"num": "...", "den": "..."} decimal strings, and
+unbounded integer columns as decimal strings, so consumers never face
+64-bit overflow.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -35,7 +37,7 @@ from .contfrac import (
     genus,
     sign_changes,
 )
-from .enumeration import enumerate_classes, tally
+from .enumeration import enumerate_classes, tallies
 from .knots import Mode, canonicalize, is_amphichiral
 
 MODES = {"D": Mode.MIRROR_DISTINCT, "C": Mode.MIRROR_COLLAPSED}
@@ -66,6 +68,25 @@ def _cell_json(v):
     return v
 
 
+@contextlib.contextmanager
+def _unbounded_int_text():
+    """Lift the int-to-str digit limit of Python 3.11+ for output, then restore it.
+
+    Closed-form values pass its default of 4300 digits from c = 14277 on.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # Python 3.10 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
+@_unbounded_int_text()
 def _emit_rows(rows, columns, fmt):
     if fmt == "json":
         click.echo(
@@ -118,7 +139,7 @@ def _parse_threads(value: str) -> int:
     default="1",
     show_default=True,
     envvar="TWOBRIDGE_THREADS",
-    help="Worker processes for enumeration ('auto' for CPU count).",
+    help="Worker processes for enumeration, at most one per CPU ('auto' for CPU count).",
 )
 @click.pass_context
 def main(ctx, fmt, threads):
@@ -170,14 +191,13 @@ def cmd_table1(ctx, max_c, cutoff):
     """
     if max_c < 3:
         raise click.BadParameter("--max-c must be >= 3")
-    threads = ctx.obj["threads"]
+    checked = tallies(range(3, min(max_c, cutoff) + 1), ctx.obj["threads"])
     rows = []
     mismatch = False
     for c in range(3, max_c + 1):
         row = _formula_row(c)
-        if c <= cutoff:
-            td = tally(c, Mode.MIRROR_DISTINCT, threads=threads)
-            tc = tally(c, Mode.MIRROR_COLLAPSED, threads=threads)
+        if c in checked:
+            td, tc = checked[c][Mode.MIRROR_DISTINCT], checked[c][Mode.MIRROR_COLLAPSED]
             row.update(
                 enum_tk=td.knot_count,
                 enum_tg=td.total_genus,
@@ -231,7 +251,7 @@ def cmd_enumerate(ctx, crossings, mode):
         for kc in enumerate_classes(crossings, m):
             click.echo(kc.canonical.to_text())
         return
-    t = tally(crossings, m, threads=ctx.obj["threads"])
+    t = tallies([crossings], ctx.obj["threads"])[crossings][m]
     gmax = (crossings - 1) // 2
     row = {"c": t.c, "mode": mode, "knot_count": t.knot_count,
            "total_genus": t.total_genus}
@@ -265,16 +285,17 @@ def cmd_knot(ctx, text):
         "amphichiral": is_amphichiral(seq),
     }
     fmt = ctx.obj["fmt"]
-    if fmt == "json":
-        payload = dict(row)
-        payload["value"] = _cell_json(row["value"])
-        click.echo(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        _emit_rows([row], list(row), "csv")
-    else:
-        width = max(len(k) for k in row)
-        for k, v in row.items():
-            click.echo(f"{k.ljust(width)}  {_cell_text(v)}")
+    with _unbounded_int_text():
+        if fmt == "json":
+            payload = dict(row)
+            payload["value"] = _cell_json(row["value"])
+            click.echo(json.dumps(payload, indent=2))
+        elif fmt == "csv":
+            _emit_rows([row], list(row), "csv")
+        else:
+            width = max(len(k) for k in row)
+            for k, v in row.items():
+                click.echo(f"{k.ljust(width)}  {_cell_text(v)}")
 
 
 def _verify_identities(max_n) -> bool:
@@ -292,13 +313,10 @@ def _verify_identities(max_n) -> bool:
     return ok
 
 
-def _verify_totals(max_c, threads) -> tuple[bool, dict]:
+def _verify_totals(found) -> bool:
     ok = True
-    tallies = {}
-    for c in range(3, max_c + 1):
-        td = tally(c, Mode.MIRROR_DISTINCT, threads=threads)
-        tc = tally(c, Mode.MIRROR_COLLAPSED, threads=threads)
-        tallies[c] = td
+    for c, by_mode in found.items():
+        td, tc = by_mode[Mode.MIRROR_DISTINCT], by_mode[Mode.MIRROR_COLLAPSED]
         good = (
             td.knot_count == formulas.tk_closed(c)
             and td.total_genus == formulas.tg_closed(c)
@@ -311,13 +329,13 @@ def _verify_totals(max_c, threads) -> tuple[bool, dict]:
             f" {'ok' if good else 'MISMATCH'}"
         )
         ok = ok and good
-    return ok, tallies
+    return ok
 
 
-def _verify_strata(max_c, tallies) -> bool:
+def _verify_strata(found) -> bool:
     ok = True
-    for c in range(3, max_c + 1):
-        td = tallies[c]
+    for c, by_mode in found.items():
+        td = by_mode[Mode.MIRROR_DISTINCT]
         k, parity = c // 2, ("even" if c % 2 == 0 else "odd")
         good = True
         for l in range(k):
@@ -346,7 +364,9 @@ def cmd_verify(ctx, max_c, max_n, identities_only):
 
     Exit status is a bitmask of failing suites: 1 identities, 2 closed
     forms vs enumeration, 4 strata.  The full desk-scale sweep is
-    ``verify --max-c 22 --max-n 64`` and takes a few minutes.
+    ``verify --max-c 22 --max-n 64``: about 2 s at ``--threads 1`` and
+    1.3 to 1.7 s at ``--threads 2`` on a shared 2.1 GHz 2-vCPU machine
+    with Python 3.11.
     """
     if max_c < 3:
         raise click.BadParameter("--max-c must be >= 3")
@@ -357,12 +377,12 @@ def cmd_verify(ctx, max_c, max_n, identities_only):
     if not _verify_identities(max_n):
         status |= 1
     if not identities_only:
+        found = tallies(range(3, max_c + 1), ctx.obj["threads"])
         click.echo(f"closed forms vs enumeration (c <= {max_c}, both modes):")
-        totals_ok, tallies = _verify_totals(max_c, ctx.obj["threads"])
-        if not totals_ok:
+        if not _verify_totals(found):
             status |= 2
         click.echo(f"stratum closed forms vs enumeration (c <= {max_c}):")
-        if not _verify_strata(max_c, tallies):
+        if not _verify_strata(found):
             status |= 4
     click.echo("summary: " + ("all checks passed" if status == 0 else f"FAILURES (status {status})"))
     ctx.exit(status)

@@ -4,16 +4,19 @@ Sequences with crossing number c are generated stratum by stratum: the
 sign-change count ell runs over the residue class of c mod 2, the genus
 m over the feasible window, the magnitude vector over all positive
 compositions of (c + ell)/2 into 2m parts, and the signs over all
-patterns with exactly ell changes.  Deduplicating through canonical
-forms turns the sequence stream into knot counts, which serve as the
-oracle for every closed form in :mod:`twobridge.formulas`.
+patterns with exactly ell changes.  Counting the sequences that are
+their own orbit minimum turns the sequence stream into knot counts,
+which serve as the oracle for every closed form in
+:mod:`twobridge.formulas`.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from operator import and_, le, mul
 
 from .contfrac import EvenSequence
 from .knots import KnotClass, Mode, _orbit_min
@@ -116,52 +119,88 @@ class Tally:
     by_ell: dict
 
 
-def _unit_count(c: int, ell: int, m: int, mode: Mode) -> int:
-    # Canonical forms preserve ell, genus and the magnitude multiset, so
-    # classes from different (ell, m) units never collide; one set per
-    # unit is a complete dedupe.
-    seen = set()
-    add = seen.add
-    for entries in _raw_sequences(c, ell, m):
-        add(_orbit_min(entries, mode))
-    return len(seen)
+def _orbit_minima(c: int, ell: int, m: int) -> dict:
+    """Class counts of one (ell, m) unit in both modes, without a set.
+
+    Canonical forms preserve ell, genus and the magnitude multiset, so
+    every orbit lies inside one unit, and the unit's class count is the
+    number of its sequences that are their own orbit minimum.  A sequence
+    ``s`` is a mirror-distinct minimum iff ``s <= reverse_negate(s)``, and
+    a mirror-collapsed one iff in addition ``s <= negate(s)`` (that is,
+    ``s[0] < 0``) and ``s <= reverse(s)``.
+    """
+    patterns = list(sign_patterns(2 * m, ell))
+    index = {p: i for i, p in enumerate(patterns)}
+    # With magnitudes b and signs p, reverse_negate(b * p) is
+    # reversed(b) * reverse_negate(p) and reverse(b * p) is
+    # reversed(b) * reversed(p): built side by side, the sequences of b
+    # and of reversed(b) find each other's orbit partners by index.
+    rn = [index[tuple(-x for x in p[::-1])] for p in patterns]
+    rev = [index[p[::-1]] for p in patterns]
+    # sign_patterns yields the negative-first half last: there s[0] < 0.
+    half = len(patterns) // 2
+    rn_neg, rev_neg = rn[half:], rev[half:]
+    distinct = collapsed = 0
+    for b in compositions((c + ell) // 2, 2 * m):
+        rb = b[::-1]
+        if rb < b:
+            continue  # walked together with rb
+        mags = tuple(2 * x for x in b)
+        own = [tuple(map(mul, mags, p)) for p in patterns]
+        if rb == b:
+            pairs = ((own, own),)
+        else:
+            mirror = [tuple(map(mul, mags[::-1], p)) for p in patterns]
+            pairs = ((own, mirror), (mirror, own))
+        for seqs, partners in pairs:
+            get = partners.__getitem__
+            distinct += sum(map(le, seqs, map(get, rn)))
+            neg = seqs[half:]
+            collapsed += sum(
+                map(and_, map(le, neg, map(get, rn_neg)), map(le, neg, map(get, rev_neg)))
+            )
+    return {Mode.MIRROR_DISTINCT: distinct, Mode.MIRROR_COLLAPSED: collapsed}
 
 
-def _unit_worker(args):
-    c, ell, m, mode = args
-    return ell, m, _unit_count(c, ell, m, mode)
+def _worker_count(threads: int, units: int) -> int:
+    # Never more workers than units to share or CPUs to run them: a pool
+    # starts all of its workers at once.
+    return min(threads, units, os.cpu_count() or 1)
+
+
+def tallies(cs, threads: int = 1) -> dict:
+    """Count knot classes for every crossing number in ``cs``, in both modes.
+
+    Returns ``{c: {Mode: Tally}}``.  Each (ell, m) unit is walked once
+    for both modes.  ``threads`` > 1 maps the units of every ``c`` over
+    one process pool, with at most one worker per unit and per CPU;
+    results are merged in a fixed order, so the outcome is identical to
+    the serial run.
+    """
+    cs = list(dict.fromkeys(cs))
+    units = [(c, ell, m) for c in cs for ell, m in strata(c)]
+    workers = _worker_count(threads, len(units))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            minima = list(pool.map(_orbit_minima, *zip(*units)))
+    else:
+        minima = [_orbit_minima(*unit) for unit in units]
+
+    # Per (c, mode): knot count, total genus, by_genus, by_ell.
+    acc = {(c, mode): [0, 0, {}, {}] for c in cs for mode in Mode}
+    for (c, ell, m), counts in zip(units, minima):
+        for mode, n in counts.items():
+            if n == 0:
+                continue
+            a = acc[c, mode]
+            a[0] += n
+            a[1] += m * n
+            a[2][m] = a[2].get(m, 0) + n
+            cnt, gsum = a[3].get(ell, (0, 0))
+            a[3][ell] = (cnt + n, gsum + m * n)
+    return {c: {mode: Tally(c, mode, *acc[c, mode]) for mode in Mode} for c in cs}
 
 
 def tally(c: int, mode: Mode, threads: int = 1) -> Tally:
-    """Count knot classes with crossing number ``c``, stratified.
-
-    ``threads`` > 1 distributes the independent (ell, m) units over a
-    process pool; results are merged in a fixed order, so the outcome is
-    identical to the serial run.
-    """
-    units = list(strata(c))
-    if threads > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = {
-                (ell, m): n
-                for ell, m, n in pool.map(
-                    _unit_worker, [(c, ell, m, mode) for ell, m in units]
-                )
-            }
-    else:
-        results = {(ell, m): _unit_count(c, ell, m, mode) for ell, m in units}
-
-    knot_count = 0
-    total_genus = 0
-    by_genus = {}
-    by_ell = {}
-    for ell, m in units:
-        n = results[(ell, m)]
-        if n == 0:
-            continue
-        knot_count += n
-        total_genus += m * n
-        by_genus[m] = by_genus.get(m, 0) + n
-        cnt, gsum = by_ell.get(ell, (0, 0))
-        by_ell[ell] = (cnt + n, gsum + m * n)
-    return Tally(c, mode, knot_count, total_genus, by_genus, by_ell)
+    """Count knot classes with crossing number ``c`` in one mode, stratified."""
+    return tallies([c], threads)[c][mode]

@@ -26,7 +26,7 @@ from twobridge import (
     residual_mirror,
     stratum_closed_A,
     stratum_closed_B,
-    tally,
+    tallies,
     tg_closed,
     tg_mirror_closed,
     tk_closed,
@@ -58,13 +58,13 @@ def report(name, failures):
 
 def test_criterion_1_table1_reproduction():
     failures = []
+    found = tallies(range(3, 16))
     for i, c in enumerate(range(3, 16)):
         closed = (
             tk_closed(c), tg_closed(c), avg_genus(c),
             tk_mirror_closed(c), tg_mirror_closed(c), avg_genus_mirror(c),
         )
-        td = tally(c, D)
-        tc = tally(c, C)
+        td, tc = found[c][D], found[c][C]
         enum = (
             td.knot_count, td.total_genus,
             Fraction(td.total_genus, td.knot_count),
@@ -84,9 +84,9 @@ def test_criterion_1_table1_reproduction():
 
 def test_criterion_2_closed_form_oracle_sweep():
     failures = []
+    found = tallies(range(3, 23))
     for c in range(3, 23):
-        td = tally(c, D)
-        tc = tally(c, C)
+        td, tc = found[c][D], found[c][C]
         if (td.knot_count, td.total_genus) != (tk_closed(c), tg_closed(c)):
             failures.append(("distinct", c))
         if (tc.knot_count, tc.total_genus) != (tk_mirror_closed(c), tg_mirror_closed(c)):
@@ -96,8 +96,9 @@ def test_criterion_2_closed_form_oracle_sweep():
 
 def test_criterion_3_stratum_sweep():
     failures = []
+    found = tallies(range(3, 19))
     for c in range(3, 19):
-        td = tally(c, D)
+        td = found[c][D]
         k, parity = c // 2, ("even" if c % 2 == 0 else "odd")
         sum_a = sum_b = 0
         for l in range(k):

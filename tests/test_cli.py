@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from twobridge.cli import main
+from twobridge.cli import _emit_rows, main
 
 
 @pytest.fixture
@@ -78,6 +79,35 @@ class TestKnot:
         result = runner.invoke(main, ["knot", "--cf", "2,huh"])
         assert result.exit_code != 0
         assert "huh" in result.output
+
+
+class TestLongIntegers:
+    # Python 3.11+ refuses int-to-str conversion past 4300 digits unless
+    # the limit is lifted; closed forms pass it from c = 14277 on.
+    DIGITS = "1" + "0" * 5000
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_rows_over_5000_digits(self, capsys, fmt):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        big = 10**5000
+        _emit_rows([{"c": 3, "tk": big, "avg": Fraction(big + 1, 3)}], ["c", "tk", "avg"], fmt)
+        out = capsys.readouterr().out
+        num = self.DIGITS[:-1] + "1"
+        if fmt == "json":
+            row = json.loads(out)[0]
+            assert row["tk"] == self.DIGITS
+            assert row["avg"] == {"num": num, "den": "3"}
+        else:
+            assert self.DIGITS in out
+            assert f"{num}/3" in out
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_knot_value_over_4300_digits(self, runner):
+        entry = str(2 * 10**400)
+        result = run(runner, "knot", "--cf", ",".join([entry] * 12))
+        assert result.exit_code == 0
+        fields = dict(line.split(None, 1) for line in result.output.strip().splitlines())
+        assert len(fields["value"]) > 4300
 
 
 class TestEnumerate:

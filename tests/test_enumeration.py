@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,17 @@ from twobridge import (
     genus,
     sign_changes,
     sign_patterns,
+    strata,
     stratum_closed_A,
     stratum_closed_B,
+    tallies,
     tally,
     tg_closed,
     tk_closed,
 )
+from twobridge import enumeration
+from twobridge.enumeration import _orbit_minima, _raw_sequences, _worker_count
+from twobridge.knots import _orbit_min
 
 D = Mode.MIRROR_DISTINCT
 C = Mode.MIRROR_COLLAPSED
@@ -153,3 +159,55 @@ class TestTally:
             t = tally(c, D)
             assert t.knot_count == tk_closed(c)
             assert t.total_genus == tg_closed(c)
+
+
+class TestTallies:
+    def test_orbit_minima_equal_set_dedupe_per_unit(self):
+        # The set route counts distinct orbit minima; the kernel counts
+        # sequences that are their own minimum.  Unit by unit, both modes.
+        for c in range(3, 17):
+            for ell, m in strata(c):
+                got = _orbit_minima(c, ell, m)
+                for mode in (D, C):
+                    keys = {_orbit_min(s, mode) for s in _raw_sequences(c, ell, m)}
+                    assert got[mode] == len(keys), (c, ell, m, mode)
+
+    def test_both_modes_match_tally(self):
+        found = tallies(range(3, 13))
+        assert list(found) == list(range(3, 13))
+        for c, by_mode in found.items():
+            for mode in (D, C):
+                assert by_mode[mode] == tally(c, mode)
+
+    def test_parallel_equals_serial(self):
+        assert tallies(range(3, 15), threads=2) == tallies(range(3, 15), threads=1)
+
+    def test_one_pool_per_call(self, monkeypatch):
+        started = []
+
+        class CountingPool(enumeration.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(kwargs["max_workers"])
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        tallies(range(3, 13), threads=2)
+        assert started == [2]
+
+    def test_empty_range_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", None)
+        assert tallies(range(3, 3), threads=2) == {}
+
+
+class TestWorkerCount:
+    def test_huge_request_clamped_to_cpus_and_units(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(10**6, 10**6) == 4
+        assert _worker_count(10**6, 3) == 3
+        assert _worker_count(2, 10**6) == 2
+        assert _worker_count(10**6, 0) == 0
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(10**6, 10**6) == 1
