@@ -1,7 +1,11 @@
-"""Exact enumeration and closed-form counting of 2-bridge knots by crossing number."""
+"""Exact enumeration and closed-form counting of 2-bridge knots by crossing number.
+
+The names below are the public API that README documents.  Generation
+helpers, stratum keys, the independent test oracles and the bug-sentinel
+errors live in their submodules.
+"""
 
 from .contfrac import (
-    DegenerateTail,
     EvenSequence,
     NoEvenExpansion,
     NotAKnotFraction,
@@ -15,26 +19,12 @@ from .contfrac import (
     even_expansion,
     genus,
     sign_changes,
-    validate,
 )
-from .enumeration import (
-    Tally,
-    compositions,
-    enumerate_classes,
-    enumerate_sequences,
-    sign_patterns,
-    strata,
-    tallies,
-    tally,
-)
+from .enumeration import Tally, enumerate_classes, enumerate_sequences, tallies, tally
 from .formulas import (
-    BranchMismatch,
-    ChiralBranch,
-    CrossingClass,
-    InexactDivision,
-    NonIntegerResult,
     avg_genus,
     avg_genus_mirror,
+    check_tallies,
     correction,
     correction_mirror,
     residual,
@@ -42,67 +32,33 @@ from .formulas import (
     stratum_closed_A,
     stratum_closed_B,
     tg_closed,
-    tg_mirror_by_strata,
     tg_mirror_closed,
     tk_closed,
     tk_mirror_closed,
 )
-from .identities import (
-    IdentityReport,
-    alpha_recurrence_check,
-    alpha_sum,
-    beta_sum,
-    binom,
-    weighted_sum_check,
-    x2_specialization_check,
-    wellknown_check,
-)
-from .knots import (
-    KnotClass,
-    Mode,
-    ParityMismatch,
-    StratumKey,
-    canonicalize,
-    is_amphichiral,
-    negate,
-    reverse,
-    reverse_negate,
-    stratum_members,
-    stratum_of,
-)
+from .identities import IdentityReport, identity_suite
+from .knots import KnotClass, Mode, canonicalize, is_amphichiral
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchMismatch",
-    "ChiralBranch",
-    "CrossingClass",
-    "DegenerateTail",
     "EvenSequence",
     "IdentityReport",
-    "InexactDivision",
     "KnotClass",
     "Mode",
     "NoEvenExpansion",
-    "NonIntegerResult",
     "NotAKnotFraction",
     "OutOfRange",
-    "ParityMismatch",
     "RejectOddEntry",
     "RejectOddLength",
     "RejectZeroEntry",
     "SequenceError",
-    "StratumKey",
     "Tally",
-    "alpha_recurrence_check",
-    "alpha_sum",
     "avg_genus",
     "avg_genus_mirror",
-    "beta_sum",
-    "binom",
     "canonicalize",
     "cf_value",
-    "compositions",
+    "check_tallies",
     "correction",
     "correction_mirror",
     "crossing_number",
@@ -110,28 +66,17 @@ __all__ = [
     "enumerate_sequences",
     "even_expansion",
     "genus",
+    "identity_suite",
     "is_amphichiral",
-    "weighted_sum_check",
-    "x2_specialization_check",
-    "negate",
     "residual",
     "residual_mirror",
-    "reverse",
-    "reverse_negate",
     "sign_changes",
-    "sign_patterns",
-    "strata",
     "stratum_closed_A",
     "stratum_closed_B",
-    "stratum_members",
-    "stratum_of",
     "tallies",
     "tally",
     "tg_closed",
-    "tg_mirror_by_strata",
     "tg_mirror_closed",
     "tk_closed",
     "tk_mirror_closed",
-    "validate",
-    "wellknown_check",
 ]

@@ -91,12 +91,12 @@ def _emit_rows(rows, columns, fmt):
     if fmt == "json":
         click.echo(
             json.dumps(
-                [{k: _cell_json(row[k]) for k in columns} for row in rows],
+                [{k: _cell_json(row.get(k)) for k in columns} for row in rows],
                 indent=2,
             )
         )
         return
-    text = [[_cell_text(row[k]) for k in columns] for row in rows]
+    text = [[_cell_text(row.get(k)) for k in columns] for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -111,6 +111,10 @@ def _emit_rows(rows, columns, fmt):
     click.echo("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip())
     for r in text:
         click.echo("  ".join(v.rjust(w) for v, w in zip(r, widths)).rstrip())
+
+
+def _ok_text(ok: bool) -> str:
+    return "ok" if ok else "MISMATCH"
 
 
 def _parse_threads(value: str) -> int:
@@ -192,33 +196,18 @@ def cmd_table1(ctx, max_c, cutoff):
     if max_c < 3:
         raise click.BadParameter("--max-c must be >= 3")
     checked = tallies(range(3, min(max_c, cutoff) + 1), ctx.obj["threads"])
+    totals_ok = {c: ok for c, (ok, _) in formulas.check_tallies(checked).items()}
     rows = []
-    mismatch = False
     for c in range(3, max_c + 1):
         row = _formula_row(c)
-        if c in checked:
+        if c in checked:  # rows past the cutoff leave the enumeration columns blank
             td, tc = checked[c][Mode.MIRROR_DISTINCT], checked[c][Mode.MIRROR_COLLAPSED]
             row.update(
                 enum_tk=td.knot_count,
                 enum_tg=td.total_genus,
                 enum_tk_mirror=tc.knot_count,
                 enum_tg_mirror=tc.total_genus,
-            )
-            ok = (
-                td.knot_count == row["tk"]
-                and td.total_genus == row["tg"]
-                and tc.knot_count == row["tk_mirror"]
-                and tc.total_genus == row["tg_mirror"]
-            )
-            row["match"] = "ok" if ok else "MISMATCH"
-            mismatch = mismatch or not ok
-        else:
-            row.update(
-                enum_tk=None,
-                enum_tg=None,
-                enum_tk_mirror=None,
-                enum_tg_mirror=None,
-                match=None,
+                match=_ok_text(totals_ok[c]),
             )
         rows.append(row)
     columns = [
@@ -226,7 +215,7 @@ def cmd_table1(ctx, max_c, cutoff):
         "enum_tk", "enum_tg", "enum_tk_mirror", "enum_tg_mirror", "match",
     ]
     _emit_rows(rows, columns, ctx.obj["fmt"])
-    if mismatch:
+    if not all(totals_ok.values()):
         ctx.exit(1)
 
 
@@ -298,59 +287,6 @@ def cmd_knot(ctx, text):
                 click.echo(f"{k.ljust(width)}  {_cell_text(v)}")
 
 
-def _verify_identities(max_n) -> bool:
-    reports = [
-        identities.wellknown_check(max_n),
-        identities.x2_specialization_check(max_n),
-        identities.weighted_sum_check(max_n),
-    ]
-    for x in (0, 1, 2, -1, Fraction(3, 2)):
-        reports.append(identities.alpha_recurrence_check(max_n, x))
-    ok = True
-    for rep in reports:
-        click.echo(f"  {rep}")
-        ok = ok and rep.passed
-    return ok
-
-
-def _verify_totals(found) -> bool:
-    ok = True
-    for c, by_mode in found.items():
-        td, tc = by_mode[Mode.MIRROR_DISTINCT], by_mode[Mode.MIRROR_COLLAPSED]
-        good = (
-            td.knot_count == formulas.tk_closed(c)
-            and td.total_genus == formulas.tg_closed(c)
-            and tc.knot_count == formulas.tk_mirror_closed(c)
-            and tc.total_genus == formulas.tg_mirror_closed(c)
-        )
-        click.echo(
-            f"  c={c}: distinct {td.knot_count}/{td.total_genus}"
-            f" collapsed {tc.knot_count}/{tc.total_genus}"
-            f" {'ok' if good else 'MISMATCH'}"
-        )
-        ok = ok and good
-    return ok
-
-
-def _verify_strata(found) -> bool:
-    ok = True
-    for c, by_mode in found.items():
-        td = by_mode[Mode.MIRROR_DISTINCT]
-        k, parity = c // 2, ("even" if c % 2 == 0 else "odd")
-        good = True
-        for l in range(k):
-            ell = 2 * l + (c % 2)
-            count, gsum = td.by_ell.get(ell, (0, 0))
-            good = (
-                good
-                and formulas.stratum_closed_A(k, l, parity) == count
-                and formulas.stratum_closed_B(k, l, parity) == gsum
-            )
-        click.echo(f"  c={c}: strata {'ok' if good else 'MISMATCH'}")
-        ok = ok and good
-    return ok
-
-
 @main.command("verify")
 @click.option("--max-c", type=int, default=14, show_default=True,
               help="Largest crossing number for the enumeration sweeps.")
@@ -374,15 +310,27 @@ def cmd_verify(ctx, max_c, max_n, identities_only):
         raise click.BadParameter("--max-n must be >= 1")
     status = 0
     click.echo(f"identities (n <= {max_n}):")
-    if not _verify_identities(max_n):
+    reports = identities.identity_suite(max_n)
+    for rep in reports:
+        click.echo(f"  {rep}")
+    if not all(rep.passed for rep in reports):
         status |= 1
     if not identities_only:
         found = tallies(range(3, max_c + 1), ctx.obj["threads"])
+        verdicts = formulas.check_tallies(found)
         click.echo(f"closed forms vs enumeration (c <= {max_c}, both modes):")
-        if not _verify_totals(found):
-            status |= 2
+        for c, (totals_ok, _) in verdicts.items():
+            td, tc = found[c][Mode.MIRROR_DISTINCT], found[c][Mode.MIRROR_COLLAPSED]
+            click.echo(
+                f"  c={c}: distinct {td.knot_count}/{td.total_genus}"
+                f" collapsed {tc.knot_count}/{tc.total_genus} {_ok_text(totals_ok)}"
+            )
         click.echo(f"stratum closed forms vs enumeration (c <= {max_c}):")
-        if not _verify_strata(found):
+        for c, (_, strata_ok) in verdicts.items():
+            click.echo(f"  c={c}: strata {_ok_text(strata_ok)}")
+        if not all(totals_ok for totals_ok, _ in verdicts.values()):
+            status |= 2
+        if not all(strata_ok for _, strata_ok in verdicts.values()):
             status |= 4
     click.echo("summary: " + ("all checks passed" if status == 0 else f"FAILURES (status {status})"))
     ctx.exit(status)

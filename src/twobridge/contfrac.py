@@ -69,14 +69,15 @@ class EvenSequence(tuple):
     def __new__(cls, entries):
         entries = tuple(entries)
         for i, e in enumerate(entries):
-            if not isinstance(e, int):
+            if isinstance(e, int) and e and not e % 2:
+                continue  # a bool is 0 or 1, so it never gets past here
+            if not isinstance(e, int) or isinstance(e, bool):
                 raise RejectOddEntry(
                     f"entry {e!r} at index {i} is not an integer"
                 )
             if e == 0:
                 raise RejectZeroEntry(f"entry at index {i} is zero")
-            if e % 2:
-                raise RejectOddEntry(f"entry {e} at index {i} is odd")
+            raise RejectOddEntry(f"entry {e} at index {i} is odd")
         if len(entries) < 2 or len(entries) % 2:
             raise RejectOddLength(
                 f"length {len(entries)} is not an even number >= 2"
@@ -97,15 +98,6 @@ class EvenSequence(tuple):
 
     def to_text(self) -> str:
         return ",".join(str(e) for e in self)
-
-
-def validate(entries) -> EvenSequence:
-    """Check the even-sequence invariants and return the sequence.
-
-    Raises RejectZeroEntry, RejectOddEntry or RejectOddLength naming the
-    violated constraint.
-    """
-    return EvenSequence(entries)
 
 
 def cf_value(seq) -> Fraction:
@@ -131,8 +123,11 @@ def even_expansion(x) -> EvenSequence:
     strictly decreases in absolute value, so the loop terminates.  For
     admissible inputs the parities of numerator and denominator
     alternate in a way that makes every quotient even and nonzero and
-    the final length even.
+    the final length even.  A float is refused: its value is a dyadic
+    approximation, never the fraction meant.
     """
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; pass a Fraction or an int")
     x = Fraction(x)
     if not 0 < abs(x) < 1:
         raise OutOfRange(f"{x} is not strictly between -1 and 1, or is zero")

@@ -7,16 +7,16 @@ mirror-distinct forms; the average genus in either counting mode is
 c/4 + 1/12 plus an exponentially small correction.  Divisions are
 checked: the closed forms are integral by construction, so an inexact
 division can only mean an implementation fault and raises instead of
-truncating.
+truncating.  ``check_tallies`` compares the closed forms with one
+enumeration result; the CLI and the tests both read its verdicts.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .identities import binom
+from .knots import Mode
 
 
 class InexactDivision(ArithmeticError):
@@ -43,39 +43,6 @@ def _require_c(c: int):
         raise ValueError("crossing number must be >= 3")
 
 
-class ChiralBranch(enum.Enum):
-    """Case selector for the mirror-distinct forms; even residues merge."""
-
-    EVEN = "even"
-    ONE_MOD_4 = "1 mod 4"
-    THREE_MOD_4 = "3 mod 4"
-
-
-@dataclass(frozen=True)
-class CrossingClass:
-    """Residue data steering the piecewise closed forms.
-
-    ``chiral`` drives the mirror-distinct branches (one shared branch
-    for even c), ``mod4`` the four mirror-collapsed branches.  Both are
-    pure functions of c.
-    """
-
-    c: int
-    chiral: ChiralBranch
-    mod4: int
-
-    @classmethod
-    def of(cls, c: int) -> "CrossingClass":
-        _require_c(c)
-        if c % 2 == 0:
-            chiral = ChiralBranch.EVEN
-        elif c % 4 == 1:
-            chiral = ChiralBranch.ONE_MOD_4
-        else:
-            chiral = ChiralBranch.THREE_MOD_4
-        return cls(c, chiral, c % 4)
-
-
 def _as_int(x: Fraction) -> int:
     if x.denominator != 1:
         raise NonIntegerResult(f"expected an integer, got {x}")
@@ -84,29 +51,30 @@ def _as_int(x: Fraction) -> int:
 
 def tk_closed(c: int) -> int:
     """Number of 2-bridge knots with crossing number c, mirrors distinct."""
-    branch = CrossingClass.of(c).chiral
-    if branch is ChiralBranch.EVEN:
+    _require_c(c)
+    if c % 2 == 0:
         return _exact_div(2 ** (c - 2) - 1, 3)
-    if branch is ChiralBranch.ONE_MOD_4:
+    if c % 4 == 1:
         return _exact_div(2 ** (c - 2) + 2 ** ((c - 1) // 2), 3)
     return _exact_div(2 ** (c - 2) + 2 ** ((c - 1) // 2) + 2, 3)
 
 
 def tg_closed(c: int) -> int:
     """Total genus of all 2-bridge knots with crossing number c, mirrors distinct."""
-    branch = CrossingClass.of(c).chiral
+    _require_c(c)
     lead = (3 * c + 1) * 2 ** (c - 2)
-    if branch is ChiralBranch.EVEN:
+    if c % 2 == 0:
         return _exact_div(lead - 16, 36)
     mid = (3 * c + 5) * 2 ** ((c - 1) // 2)
-    if branch is ChiralBranch.ONE_MOD_4:
+    if c % 4 == 1:
         return _exact_div(lead + mid + 8, 36)
     return _exact_div(lead + mid + 24, 36)
 
 
 def tk_mirror_closed(c: int) -> int:
     """Number of 2-bridge knots with crossing number c, mirrors collapsed."""
-    r = CrossingClass.of(c).mod4
+    _require_c(c)
+    r = c % 4
     if r == 0:
         return _exact_div(2 ** (c - 3) + 2 ** ((c - 4) // 2), 3)
     if r == 1:
@@ -122,7 +90,8 @@ def tg_mirror_closed(c: int) -> int:
     For odd c this is exactly half the mirror-distinct total, since no
     knot with odd crossing number equals its own mirror image.
     """
-    r = CrossingClass.of(c).mod4
+    _require_c(c)
+    r = c % 4
     lead = (3 * c + 1) * 2 ** (c - 2)
     if r == 0:
         return _exact_div(lead + (3 * c + 2) * 2 ** ((c - 2) // 2) - 8, 72)
@@ -135,10 +104,10 @@ def tg_mirror_closed(c: int) -> int:
 
 def correction(c: int) -> Fraction:
     """The exponentially small term in the mirror-distinct average genus."""
-    branch = CrossingClass.of(c).chiral
-    if branch is ChiralBranch.EVEN:
+    _require_c(c)
+    if c % 2 == 0:
         return Fraction(c - 5, 2**c - 4)
-    if branch is ChiralBranch.ONE_MOD_4:
+    if c % 4 == 1:
         return Fraction(1, 3 * 2 ** ((c - 3) // 2))
     return Fraction(
         2 ** ((c + 1) // 2) - 3 * c + 11,
@@ -148,7 +117,8 @@ def correction(c: int) -> Fraction:
 
 def correction_mirror(c: int) -> Fraction:
     """The exponentially small term in the mirror-collapsed average genus."""
-    r = CrossingClass.of(c).mod4
+    _require_c(c)
+    r = c % 4
     if r == 0:
         return Fraction(2 ** ((c - 4) // 2) - 4, 3 * (2 ** (c - 1) + 2 ** (c // 2)))
     if r == 2:
@@ -282,3 +252,27 @@ def tg_mirror_by_strata(c: int) -> int:
                     * binom(m - 1, l)
                 )
     return _as_int(total)
+
+
+def check_tallies(found: dict) -> dict:
+    """Compare one ``tallies`` result with the closed forms, exactly.
+
+    Returns ``{c: (totals_ok, strata_ok)}``.  ``totals_ok`` holds when the
+    knot count and total genus equal the closed forms in both modes;
+    ``strata_ok`` when every mirror-distinct sign-change stratum equals
+    stratum_closed_A and stratum_closed_B.
+    """
+    verdicts = {}
+    for c, by_mode in found.items():
+        td, tc = by_mode[Mode.MIRROR_DISTINCT], by_mode[Mode.MIRROR_COLLAPSED]
+        totals_ok = (td.knot_count, td.total_genus, tc.knot_count, tc.total_genus) == (
+            tk_closed(c), tg_closed(c), tk_mirror_closed(c), tg_mirror_closed(c)
+        )
+        k, parity = c // 2, ("even" if c % 2 == 0 else "odd")
+        strata_ok = all(
+            td.by_ell.get(2 * l + c % 2, (0, 0))
+            == (stratum_closed_A(k, l, parity), stratum_closed_B(k, l, parity))
+            for l in range(k)
+        )
+        verdicts[c] = (totals_ok, strata_ok)
+    return verdicts

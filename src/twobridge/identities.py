@@ -26,8 +26,11 @@ class IdentityReport:
     identity_id: str
     n_range: tuple
     x_values: tuple = ()
-    passed: bool = True
     counterexample: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     @property
     def status(self) -> str:
@@ -66,36 +69,32 @@ def alpha_recurrence_check(n_max: int, x) -> IdentityReport:
     x = Fraction(x)
     a = [alpha_sum(n, x) for n in range(n_max + 1)]
     b = [beta_sum(n, x) for n in range(n_max)]
-    for n in range(1, n_max):
-        lhs = a[n + 1]
-        rhs = (2 * x + 1) * a[n] - x * x * a[n - 1]
-        if lhs != rhs:
-            return IdentityReport(
-                "alpha_recurrence", (1, n_max - 1), (x,), False,
-                f"n={n}: {lhs} != {rhs}",
-            )
-        if b[n] != a[n + 1] - x * a[n]:
-            return IdentityReport(
-                "alpha_recurrence", (1, n_max - 1), (x,), False,
-                f"n={n}: beta {b[n]} != {a[n + 1] - x * a[n]}",
-            )
-    return IdentityReport("alpha_recurrence", (1, n_max - 1), (x,))
+
+    def failures():
+        for n in range(1, n_max):
+            lhs = a[n + 1]
+            rhs = (2 * x + 1) * a[n] - x * x * a[n - 1]
+            if lhs != rhs:
+                yield f"n={n}: {lhs} != {rhs}"
+            if b[n] != a[n + 1] - x * a[n]:
+                yield f"n={n}: beta {b[n]} != {a[n + 1] - x * a[n]}"
+
+    return IdentityReport("alpha_recurrence", (1, n_max - 1), (x,), next(failures(), None))
 
 
 def x2_specialization_check(n_max: int) -> IdentityReport:
     """At x = 2: alpha sums to (4^n - 1)/3 and beta to (2*4^n + 1)/3."""
-    for n in range(n_max + 1):
-        if alpha_sum(n, 2) != Fraction(4**n - 1, 3):
-            return IdentityReport(
-                "x2_specialization", (0, n_max), (Fraction(2),), False,
-                f"alpha n={n}",
-            )
-        if beta_sum(n, 2) != Fraction(2 * 4**n + 1, 3):
-            return IdentityReport(
-                "x2_specialization", (0, n_max), (Fraction(2),), False,
-                f"beta n={n}",
-            )
-    return IdentityReport("x2_specialization", (0, n_max), (Fraction(2),))
+
+    def failures():
+        for n in range(n_max + 1):
+            if alpha_sum(n, 2) != Fraction(4**n - 1, 3):
+                yield f"alpha n={n}"
+            if beta_sum(n, 2) != Fraction(2 * 4**n + 1, 3):
+                yield f"beta n={n}"
+
+    return IdentityReport(
+        "x2_specialization", (0, n_max), (Fraction(2),), next(failures(), None)
+    )
 
 
 def weighted_sum_check(n_max: int) -> IdentityReport:
@@ -105,20 +104,17 @@ def weighted_sum_check(n_max: int) -> IdentityReport:
       sum q 2^q C(2n-1-q, q), q=0..n-1  ==  (2/27) ((4^n - 1)(3n - 2) - 3n)
       sum q 2^q C(2n-q, q),   q=0..n    ==  (2/27) ((4^n - 1)(6n - 1) + 12n)
     """
-    for n in range(1, n_max + 1):
-        first = sum(q * 2**q * binom(2 * n - 1 - q, q) for q in range(n))
-        rhs1 = Fraction(2, 27) * ((4**n - 1) * (3 * n - 2) - 3 * n)
-        if first != rhs1:
-            return IdentityReport(
-                "weighted_sums", (1, n_max), (), False, f"first, n={n}"
-            )
-        second = sum(q * 2**q * binom(2 * n - q, q) for q in range(n + 1))
-        rhs2 = Fraction(2, 27) * ((4**n - 1) * (6 * n - 1) + 12 * n)
-        if second != rhs2:
-            return IdentityReport(
-                "weighted_sums", (1, n_max), (), False, f"second, n={n}"
-            )
-    return IdentityReport("weighted_sums", (1, n_max))
+
+    def failures():
+        for n in range(1, n_max + 1):
+            first = sum(q * 2**q * binom(2 * n - 1 - q, q) for q in range(n))
+            if first != Fraction(2, 27) * ((4**n - 1) * (3 * n - 2) - 3 * n):
+                yield f"first, n={n}"
+            second = sum(q * 2**q * binom(2 * n - q, q) for q in range(n + 1))
+            if second != Fraction(2, 27) * ((4**n - 1) * (6 * n - 1) + 12 * n):
+                yield f"second, n={n}"
+
+    return IdentityReport("weighted_sums", (1, n_max), (), next(failures(), None))
 
 
 def wellknown_check(n_max: int) -> IdentityReport:
@@ -127,25 +123,29 @@ def wellknown_check(n_max: int) -> IdentityReport:
     Subset-of-subset product, row sum 2^n, even-index row sum 2^(n-1)
     (for n >= 1), and the weighted row sum n 2^(n-1).
     """
-    for a in range(n_max + 1):
-        for b in range(a + 1):
-            for c in range(b + 1):
-                if binom(a, b) * binom(b, c) != binom(a, c) * binom(a - c, b - c):
-                    return IdentityReport(
-                        "wellknown", (0, n_max), (), False,
-                        f"product, a={a} b={b} c={c}",
-                    )
-    for n in range(1, n_max + 1):
-        if sum(binom(n, q) for q in range(n + 1)) != 2**n:
-            return IdentityReport(
-                "wellknown", (0, n_max), (), False, f"row sum, n={n}"
-            )
-        if sum(binom(n, 2 * q) for q in range(n // 2 + 1)) != 2 ** (n - 1):
-            return IdentityReport(
-                "wellknown", (0, n_max), (), False, f"even row sum, n={n}"
-            )
-        if sum(q * binom(n, q) for q in range(n + 1)) != n * 2 ** (n - 1):
-            return IdentityReport(
-                "wellknown", (0, n_max), (), False, f"weighted row sum, n={n}"
-            )
-    return IdentityReport("wellknown", (0, n_max))
+
+    def failures():
+        for a in range(n_max + 1):
+            for b in range(a + 1):
+                for c in range(b + 1):
+                    if binom(a, b) * binom(b, c) != binom(a, c) * binom(a - c, b - c):
+                        yield f"product, a={a} b={b} c={c}"
+        for n in range(1, n_max + 1):
+            if sum(binom(n, q) for q in range(n + 1)) != 2**n:
+                yield f"row sum, n={n}"
+            if sum(binom(n, 2 * q) for q in range(n // 2 + 1)) != 2 ** (n - 1):
+                yield f"even row sum, n={n}"
+            if sum(q * binom(n, q) for q in range(n + 1)) != n * 2 ** (n - 1):
+                yield f"weighted row sum, n={n}"
+
+    return IdentityReport("wellknown", (0, n_max), (), next(failures(), None))
+
+
+def identity_suite(n_max: int) -> list:
+    """Every identity check up to n_max, the recurrence at five rational points."""
+    return [
+        wellknown_check(n_max),
+        x2_specialization_check(n_max),
+        weighted_sum_check(n_max),
+        *(alpha_recurrence_check(n_max, x) for x in (0, 1, 2, -1, Fraction(3, 2))),
+    ]

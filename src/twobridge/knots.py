@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .contfrac import EvenSequence, sign_changes
+from .contfrac import EvenSequence, SequenceError, sign_changes
 
 
 class ParityMismatch(ValueError):
@@ -25,21 +25,6 @@ class Mode(enum.Enum):
 
     MIRROR_DISTINCT = "D"
     MIRROR_COLLAPSED = "C"
-
-
-def negate(seq) -> EvenSequence:
-    """Entrywise negation (presents the mirror image)."""
-    return EvenSequence(-e for e in tuple(seq))
-
-
-def reverse(seq) -> EvenSequence:
-    """Reversed entry order (also presents the mirror image)."""
-    return EvenSequence(tuple(seq)[::-1])
-
-
-def reverse_negate(seq) -> EvenSequence:
-    """Reversed and negated (presents the same knot)."""
-    return EvenSequence(tuple(-e for e in tuple(seq)[::-1]))
 
 
 def _orbit_min(entries: tuple, mode: Mode) -> tuple:
@@ -63,7 +48,11 @@ class KnotClass:
     @classmethod
     def from_text(cls, text: str) -> "KnotClass":
         letter, _, body = text.partition(":")
-        return cls(EvenSequence.from_text(body), Mode(letter))
+        try:
+            mode = Mode(letter)
+        except ValueError:
+            raise SequenceError(f"invalid mode letter {letter!r}") from None
+        return cls(EvenSequence.from_text(body), mode)
 
 
 def canonicalize(seq, mode: Mode) -> KnotClass:

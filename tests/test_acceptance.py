@@ -13,15 +13,14 @@ from twobridge import (
     avg_genus_mirror,
     canonicalize,
     cf_value,
+    check_tallies,
     correction,
     correction_mirror,
     enumerate_classes,
     enumerate_sequences,
     even_expansion,
+    identity_suite,
     is_amphichiral,
-    weighted_sum_check,
-    x2_specialization_check,
-    alpha_recurrence_check,
     residual,
     residual_mirror,
     stratum_closed_A,
@@ -31,7 +30,6 @@ from twobridge import (
     tg_mirror_closed,
     tk_closed,
     tk_mirror_closed,
-    wellknown_check,
 )
 
 D = Mode.MIRROR_DISTINCT
@@ -83,47 +81,33 @@ def test_criterion_1_table1_reproduction():
 
 
 def test_criterion_2_closed_form_oracle_sweep():
-    failures = []
-    found = tallies(range(3, 23))
-    for c in range(3, 23):
-        td, tc = found[c][D], found[c][C]
-        if (td.knot_count, td.total_genus) != (tk_closed(c), tg_closed(c)):
-            failures.append(("distinct", c))
-        if (tc.knot_count, tc.total_genus) != (tk_mirror_closed(c), tg_mirror_closed(c)):
-            failures.append(("collapsed", c))
+    verdicts = check_tallies(tallies(range(3, 23)))
+    failures = [("totals", c) for c, (totals_ok, _) in verdicts.items() if not totals_ok]
+    if list(verdicts) != list(range(3, 23)):
+        failures.append(("coverage", list(verdicts)))
     report("criterion 2: closed forms equal enumeration for c in 3..22, both modes", failures)
 
 
 def test_criterion_3_stratum_sweep():
-    failures = []
-    found = tallies(range(3, 19))
+    verdicts = check_tallies(tallies(range(3, 19)))
+    failures = [("strata", c) for c, (_, strata_ok) in verdicts.items() if not strata_ok]
+    if list(verdicts) != list(range(3, 19)):
+        failures.append(("coverage", list(verdicts)))
     for c in range(3, 19):
-        td = found[c][D]
         k, parity = c // 2, ("even" if c % 2 == 0 else "odd")
-        sum_a = sum_b = 0
-        for l in range(k):
-            a = stratum_closed_A(k, l, parity)
-            b = stratum_closed_B(k, l, parity)
-            sum_a += a
-            sum_b += b
-            count, gsum = td.by_ell.get(2 * l + c % 2, (0, 0))
-            if (a, b) != (count, gsum):
-                failures.append(("stratum", c, l, (a, b), (count, gsum)))
+        sum_a = sum(stratum_closed_A(k, l, parity) for l in range(k))
+        sum_b = sum(stratum_closed_B(k, l, parity) for l in range(k))
         if sum_a != tk_closed(c) or sum_b != tg_closed(c):
             failures.append(("sums", c))
     report("criterion 3: strata reconcile and sum to the totals for c in 3..18", failures)
 
 
 def test_criterion_4_identity_suite():
-    failures = []
-    reports = [
-        x2_specialization_check(64),
-        weighted_sum_check(64),
-        wellknown_check(64),
-    ]
-    for x in (0, 1, 2, -1, Fraction(3, 2)):
-        reports.append(alpha_recurrence_check(64, x))
+    reports = identity_suite(64)
     failures = [str(r) for r in reports if not r.passed]
+    ids = [r.identity_id for r in reports]
+    if ids != ["wellknown", "x2_specialization", "weighted_sums"] + ["alpha_recurrence"] * 5:
+        failures.append(("coverage", ids))
     report("criterion 4: identity suite exact for n <= 64", failures)
 
 

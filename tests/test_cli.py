@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from twobridge import Mode, cli
 from twobridge.cli import _emit_rows, main
 
 
@@ -17,6 +19,28 @@ def runner():
 
 def run(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
+
+
+@pytest.fixture
+def corrupt_tallies(monkeypatch):
+    """Make cli.tallies overcount the c = 5 mirror-distinct knots by one.
+
+    The extra knot lands in the one-sign-change stratum, so both the
+    totals and the strata comparison must flag c = 5.
+    """
+    real = cli.tallies
+
+    def tallies(cs, threads=1):
+        found = real(cs, threads)
+        if 5 in found:
+            t = found[5][Mode.MIRROR_DISTINCT]
+            count, gsum = t.by_ell[1]
+            found[5][Mode.MIRROR_DISTINCT] = dataclasses.replace(
+                t, knot_count=t.knot_count + 1, by_ell={**t.by_ell, 1: (count + 1, gsum)}
+            )
+        return found
+
+    monkeypatch.setattr(cli, "tallies", tallies)
 
 
 def parse_csv(text):
@@ -183,6 +207,12 @@ class TestTable1:
         result = run(runner, "--threads", "2", "table1", "--max-c", "8", "--cutoff", "8")
         assert result.exit_code == 0
 
+    def test_mismatch_row_and_exit_status(self, runner, corrupt_tallies):
+        result = run(runner, "--format", "csv", "table1", "--max-c", "7")
+        assert result.exit_code == 1
+        match = {r["c"]: r["match"] for r in parse_csv(result.output)}
+        assert match == {"3": "ok", "4": "ok", "5": "MISMATCH", "6": "ok", "7": "ok"}
+
     def test_bad_threads_value(self, runner):
         result = runner.invoke(main, ["--threads", "zero", "table1", "--max-c", "4"])
         assert result.exit_code != 0
@@ -197,6 +227,13 @@ class TestVerify:
     def test_minimal_sweep(self, runner):
         result = run(runner, "verify", "--max-c", "3", "--max-n", "1")
         assert result.exit_code == 0
+
+    def test_mismatch_sets_totals_and_strata_bits(self, runner, corrupt_tallies):
+        result = run(runner, "verify", "--max-c", "6", "--max-n", "4")
+        assert result.exit_code == 6
+        assert "  c=5: distinct 5/6 collapsed 2/3 MISMATCH" in result.output
+        assert "  c=5: strata MISMATCH" in result.output
+        assert "summary: FAILURES (status 6)" in result.output
 
     def test_identities_only(self, runner):
         result = run(runner, "verify", "--identities", "--max-n", "4")

@@ -19,9 +19,7 @@ from twobridge import (
     enumerate_sequences,
     even_expansion,
     genus,
-    reverse_negate,
     sign_changes,
-    validate,
 )
 
 
@@ -61,25 +59,23 @@ def cf_value_matrix(seq):
 
 class TestValidate:
     def test_minimal_sequence(self):
-        seq = validate([2, 2])
-        assert isinstance(seq, EvenSequence)
-        assert tuple(seq) == (2, 2)
+        assert tuple(EvenSequence([2, 2])) == (2, 2)
 
     def test_odd_entry_rejected(self):
         with pytest.raises(RejectOddEntry):
-            validate([2, 3])
+            EvenSequence([2, 3])
 
     def test_odd_length_rejected(self):
         with pytest.raises(RejectOddLength):
-            validate([2, -2, 4])
+            EvenSequence([2, -2, 4])
 
     def test_zero_entry_rejected(self):
         with pytest.raises(RejectZeroEntry):
-            validate([2, 0])
+            EvenSequence([2, 0])
 
     def test_short_sequence_rejected(self):
         with pytest.raises(RejectOddLength):
-            validate([])
+            EvenSequence([])
 
     def test_text_round_trip(self):
         seq = EvenSequence.from_text("2,-2,4,-6")
@@ -89,6 +85,11 @@ class TestValidate:
     def test_bad_token(self):
         with pytest.raises(SequenceError, match="x"):
             EvenSequence.from_text("2,x")
+
+    def test_bool_entry_is_not_an_integer(self):
+        with pytest.raises(RejectOddEntry) as err:
+            EvenSequence([True, True])
+        assert str(err.value) == "entry True at index 0 is not an integer"
 
 
 class TestCfValue:
@@ -115,7 +116,7 @@ class TestCfValue:
     def test_degenerate_tail_on_corrupt_input(self):
         # Only reachable by bypassing validation; the guard must fire
         # instead of a bare ZeroDivisionError.
-        from twobridge import DegenerateTail
+        from twobridge.contfrac import DegenerateTail
 
         with pytest.raises(DegenerateTail):
             cf_value((1, -1))
@@ -143,6 +144,11 @@ class TestEvenExpansion:
             even_expansion(Fraction(3, 2))
         with pytest.raises(OutOfRange):
             even_expansion(Fraction(0))
+
+    @pytest.mark.parametrize("x", [0.25, 0.4])
+    def test_float_refused(self, x):
+        with pytest.raises(TypeError, match=f"{x!r} is a float"):
+            even_expansion(x)
 
     def test_odd_over_odd_has_no_expansion(self):
         with pytest.raises(NoEvenExpansion):
@@ -217,7 +223,7 @@ class TestInvariants:
         for c in range(3, 13):
             for s in enumerate_sequences(c):
                 v = cf_value(s)
-                w = cf_value(reverse_negate(s))
+                w = cf_value(tuple(-e for e in s[::-1]))
                 p = v.denominator
                 assert w.denominator == p
                 assert (v.numerator * w.numerator) % p == 1 % p

@@ -5,15 +5,10 @@ import pytest
 
 from twobridge import (
     Mode,
-    binom,
-    compositions,
     crossing_number,
     enumerate_classes,
     enumerate_sequences,
     genus,
-    sign_changes,
-    sign_patterns,
-    strata,
     stratum_closed_A,
     stratum_closed_B,
     tallies,
@@ -22,7 +17,15 @@ from twobridge import (
     tk_closed,
 )
 from twobridge import enumeration
-from twobridge.enumeration import _orbit_minima, _raw_sequences, _worker_count
+from twobridge.enumeration import (
+    _orbit_minima,
+    _raw_sequences,
+    _worker_count,
+    compositions,
+    sign_patterns,
+    strata,
+)
+from twobridge.identities import binom
 from twobridge.knots import _orbit_min
 
 D = Mode.MIRROR_DISTINCT

@@ -1,30 +1,39 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from twobridge import (
-    ChiralBranch,
-    CrossingClass,
-    InexactDivision,
     Mode,
-    NonIntegerResult,
     avg_genus,
     avg_genus_mirror,
-    binom,
+    check_tallies,
     correction,
     correction_mirror,
     residual,
     residual_mirror,
     stratum_closed_A,
     stratum_closed_B,
+    tallies,
     tally,
     tg_closed,
-    tg_mirror_by_strata,
     tg_mirror_closed,
     tk_closed,
     tk_mirror_closed,
 )
-from twobridge.formulas import _as_int, _exact_div
+from twobridge.formulas import (
+    InexactDivision,
+    NonIntegerResult,
+    _as_int,
+    _exact_div,
+    tg_mirror_by_strata,
+)
+from twobridge.identities import binom
+
+CLOSED_FORMS_OF_C = (
+    tk_closed, tg_closed, tk_mirror_closed, tg_mirror_closed,
+    correction, correction_mirror, avg_genus, avg_genus_mirror,
+)
 
 
 def stratum_sum_A(k, l, parity):
@@ -58,24 +67,6 @@ def stratum_sum_B(k, l, parity):
     return total
 
 
-class TestCrossingClass:
-    def test_residues_are_pure_functions_of_c(self):
-        for c in range(3, 50):
-            cc = CrossingClass.of(c)
-            assert cc == CrossingClass.of(c)
-            assert cc.mod4 == c % 4
-
-    def test_even_residues_share_the_chiral_branch(self):
-        assert CrossingClass.of(4).chiral is ChiralBranch.EVEN
-        assert CrossingClass.of(6).chiral is ChiralBranch.EVEN
-        assert CrossingClass.of(5).chiral is ChiralBranch.ONE_MOD_4
-        assert CrossingClass.of(7).chiral is ChiralBranch.THREE_MOD_4
-
-    def test_rejects_small_c(self):
-        with pytest.raises(ValueError):
-            CrossingClass.of(2)
-
-
 class TestKnotCounts:
     @pytest.mark.parametrize("c,expected", [(7, 14), (13, 704), (4, 1)])
     def test_tk(self, c, expected):
@@ -93,10 +84,10 @@ class TestKnotCounts:
     def test_tg_mirror(self, c, expected):
         assert tg_mirror_closed(c) == expected
 
-    def test_rejects_small_c(self):
-        for fn in (tk_closed, tg_closed, tk_mirror_closed, tg_mirror_closed):
-            with pytest.raises(ValueError):
-                fn(2)
+    @pytest.mark.parametrize("fn", CLOSED_FORMS_OF_C, ids=lambda fn: fn.__name__)
+    def test_rejects_small_c(self, fn):
+        with pytest.raises(ValueError, match="crossing number must be >= 3"):
+            fn(2)
 
 
 class TestAverages:
@@ -204,3 +195,35 @@ class TestSentinels:
         with pytest.raises(NonIntegerResult):
             _as_int(Fraction(1, 2))
         assert _as_int(Fraction(4, 2)) == 2
+
+
+@pytest.fixture(scope="module")
+def found():
+    return tallies(range(3, 11))
+
+
+def corrupt(found, c, mode, **changes):
+    """check_tallies of ``found`` with some fields of one Tally replaced."""
+    copy = {k: dict(by_mode) for k, by_mode in found.items()}
+    copy[c][mode] = dataclasses.replace(copy[c][mode], **changes)
+    return check_tallies(copy)
+
+
+class TestCheckTallies:
+    def test_enumeration_agrees(self, found):
+        assert check_tallies(found) == {c: (True, True) for c in range(3, 11)}
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("field", ["knot_count", "total_genus"])
+    def test_each_total_flagged(self, found, mode, field):
+        verdicts = corrupt(found, 7, mode, **{field: getattr(found[7][mode], field) + 1})
+        assert verdicts[7] == (False, True)
+        assert all(verdicts[c] == (True, True) for c in verdicts if c != 7)
+
+    def test_stratum_entry_flagged(self, found):
+        by_ell = dict(found[8][Mode.MIRROR_DISTINCT].by_ell)
+        count, gsum = by_ell[2]
+        by_ell[2] = (count + 1, gsum)
+        verdicts = corrupt(found, 8, Mode.MIRROR_DISTINCT, by_ell=by_ell)
+        assert verdicts[8] == (True, False)
+        assert all(verdicts[c] == (True, True) for c in verdicts if c != 8)

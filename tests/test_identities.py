@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from twobridge import (
+from twobridge import IdentityReport
+from twobridge.identities import (
     alpha_recurrence_check,
     alpha_sum,
     beta_sum,
     binom,
     weighted_sum_check,
-    x2_specialization_check,
     wellknown_check,
+    x2_specialization_check,
 )
 
 RECURRENCE_POINTS = (0, 1, 2, -1, Fraction(3, 2))
@@ -92,12 +93,13 @@ def test_report_rendering():
 
 def test_report_counterexample_surfaces():
     # A deliberately broken comparison: claim alpha(n, 3) matches the
-    # x = 2 closed form.  The report must carry the first failure.
-    from twobridge.identities import IdentityReport
-
-    bad = IdentityReport("demo", (1, 4), (), False, "n=2: 22 != 5")
+    # x = 2 closed form.  The report must carry the first failure, and a
+    # report with a counterexample cannot pass.
+    bad = IdentityReport("demo", (1, 4), (), "n=2: 22 != 5")
+    assert not bad.passed
     assert bad.status.startswith("fail")
     assert "n=2" in bad.status
+    assert IdentityReport("demo", (1, 4)).passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21])

@@ -7,21 +7,16 @@ from twobridge import (
     EvenSequence,
     KnotClass,
     Mode,
-    ParityMismatch,
-    StratumKey,
-    binom,
+    SequenceError,
     canonicalize,
     cf_value,
     enumerate_classes,
     enumerate_sequences,
     is_amphichiral,
-    negate,
-    reverse,
-    reverse_negate,
-    stratum_members,
-    stratum_of,
     tally,
 )
+from twobridge.identities import binom
+from twobridge.knots import ParityMismatch, StratumKey, stratum_members, stratum_of
 
 D = Mode.MIRROR_DISTINCT
 C = Mode.MIRROR_COLLAPSED
@@ -54,9 +49,9 @@ class TestCanonicalize:
 
     @given(even_sequences(), st.sampled_from((D, C)))
     def test_constant_on_orbits(self, seq, mode):
-        images = [reverse_negate(seq)]
+        images = [tuple(-e for e in seq[::-1])]
         if mode is C:
-            images += [negate(seq), reverse(seq)]
+            images += [tuple(-e for e in seq), seq[::-1]]
         base = canonicalize(seq, mode)
         for g in images:
             assert canonicalize(g, mode) == base
@@ -65,6 +60,10 @@ class TestCanonicalize:
         kc = canonicalize((4, 2), D)
         assert kc.to_text() == "D:-2,-4"
         assert KnotClass.from_text("D:-2,-4") == kc
+
+    def test_bad_mode_letter_named(self):
+        with pytest.raises(SequenceError, match="'X'"):
+            KnotClass.from_text("X:2,2")
 
 
 class TestAmphichiral:
@@ -95,7 +94,7 @@ class TestAmphichiral:
         for c in range(3, 13):
             for s in enumerate_sequences(c):
                 t = tuple(s)
-                same = canonicalize(t, D) == canonicalize(negate(t), D)
+                same = canonicalize(t, D) == canonicalize(tuple(-e for e in t), D)
                 assert same == (t == t[::-1])
                 mags = tuple(abs(e) for e in t)
                 if mags != mags[::-1]:
@@ -181,7 +180,7 @@ class TestModeRelations:
             by_den = {}
             for kc in enumerate_classes(c, D):
                 v = cf_value(kc.canonical)
-                w = cf_value(reverse_negate(kc.canonical))
+                w = cf_value(tuple(-e for e in kc.canonical[::-1]))
                 assert w.denominator == v.denominator
                 p = v.denominator
                 qs = {v.numerator % p, w.numerator % p}
