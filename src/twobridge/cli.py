@@ -40,18 +40,21 @@ from .contfrac import (
 from .enumeration import enumerate_classes, tallies
 from .knots import Mode, canonicalize, is_amphichiral
 
-MODES = {"D": Mode.MIRROR_DISTINCT, "C": Mode.MIRROR_COLLAPSED}
+# Largest crossing number a command enumerates, a work budget:
+# tallies([24]) took 3.7 to 5.1 s on a shared 2-vCPU host with Python 3.11,
+# and each +2 in c costs 4 to 5 times more.
+MAX_ENUM_C = 26
 
-
-def _frac_text(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+FORMULA_COLUMNS = [
+    "c", "tk", "tg", "avg_genus", "tk_mirror", "tg_mirror", "avg_genus_mirror",
+]
 
 
 def _cell_text(v) -> str:
     if v is None:
         return ""
     if isinstance(v, Fraction):
-        return _frac_text(v)
+        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
@@ -113,6 +116,22 @@ def _emit_rows(rows, columns, fmt):
         click.echo("  ".join(v.rjust(w) for v, w in zip(r, widths)).rstrip())
 
 
+@_unbounded_int_text()
+def _emit_record(row, fmt):
+    """Print one record: a JSON object, a one-row CSV, or key/value lines."""
+    if fmt == "json":
+        # Unlike _emit_rows, a record keeps plain JSON numbers: tally counts
+        # stay far below 2^53 for every c up to MAX_ENUM_C.
+        record = {k: _cell_json(v) if isinstance(v, Fraction) else v for k, v in row.items()}
+        click.echo(json.dumps(record, indent=2))
+    elif fmt == "csv":
+        _emit_rows([row], list(row), fmt)
+    else:
+        width = max(map(len, row))
+        for k, v in row.items():
+            click.echo(f"{k.ljust(width)}  {_cell_text(v)}")
+
+
 def _ok_text(ok: bool) -> str:
     return "ok" if ok else "MISMATCH"
 
@@ -164,24 +183,21 @@ def _formula_row(c: int) -> dict:
 
 
 @main.command("formulas")
-@click.option("--max-c", type=int, required=True, help="Largest crossing number.")
+@click.option("--max-c", type=click.IntRange(min=3), required=True,
+              help="Largest crossing number.")
 @click.pass_context
 def cmd_formulas(ctx, max_c):
     """Closed-form counts, total genera and average genera per row."""
-    if max_c < 3:
-        raise click.BadParameter("--max-c must be >= 3")
     rows = [_formula_row(c) for c in range(3, max_c + 1)]
-    columns = [
-        "c", "tk", "tg", "avg_genus", "tk_mirror", "tg_mirror", "avg_genus_mirror",
-    ]
-    _emit_rows(rows, columns, ctx.obj["fmt"])
+    _emit_rows(rows, FORMULA_COLUMNS, ctx.obj["fmt"])
 
 
 @main.command("table1")
-@click.option("--max-c", type=int, required=True, help="Largest crossing number.")
+@click.option("--max-c", type=click.IntRange(min=3), required=True,
+              help="Largest crossing number.")
 @click.option(
     "--cutoff",
-    type=int,
+    type=click.IntRange(max=MAX_ENUM_C),
     default=18,
     show_default=True,
     help="Largest crossing number that is also cross-checked by enumeration.",
@@ -193,8 +209,6 @@ def cmd_table1(ctx, max_c, cutoff):
     Rows up to the cutoff carry the enumerated counts and a match flag;
     the exit status is nonzero if any row mismatches.
     """
-    if max_c < 3:
-        raise click.BadParameter("--max-c must be >= 3")
     checked = tallies(range(3, min(max_c, cutoff) + 1), ctx.obj["threads"])
     totals_ok = {c: ok for c, (ok, _) in formulas.check_tallies(checked).items()}
     rows = []
@@ -210,8 +224,7 @@ def cmd_table1(ctx, max_c, cutoff):
                 match=_ok_text(totals_ok[c]),
             )
         rows.append(row)
-    columns = [
-        "c", "tk", "tg", "avg_genus", "tk_mirror", "tg_mirror", "avg_genus_mirror",
+    columns = FORMULA_COLUMNS + [
         "enum_tk", "enum_tg", "enum_tk_mirror", "enum_tg_mirror", "match",
     ]
     _emit_rows(rows, columns, ctx.obj["fmt"])
@@ -220,7 +233,8 @@ def cmd_table1(ctx, max_c, cutoff):
 
 
 @main.command("enumerate")
-@click.option("--crossings", type=int, required=True, help="Crossing number.")
+@click.option("--crossings", type=click.IntRange(3, MAX_ENUM_C), required=True,
+              help="Crossing number.")
 @click.option(
     "--mode",
     type=click.Choice(["D", "C"]),
@@ -231,9 +245,7 @@ def cmd_table1(ctx, max_c, cutoff):
 @click.pass_context
 def cmd_enumerate(ctx, crossings, mode):
     """Stream canonical sequences, or export the tally as CSV/JSON."""
-    if crossings < 3:
-        raise click.BadParameter("--crossings must be >= 3")
-    m = MODES[mode]
+    m = Mode(mode)
     fmt = ctx.obj["fmt"]
     if fmt == "table":
         click.echo(f"c={crossings} mode={mode}")
@@ -246,12 +258,7 @@ def cmd_enumerate(ctx, crossings, mode):
            "total_genus": t.total_genus}
     for g in range(1, gmax + 1):
         row[f"g{g}"] = t.by_genus.get(g, 0)
-    columns = list(row)
-    if fmt == "csv":
-        _emit_rows([row], columns, "csv")
-    else:
-        # Tally counts stay far below 2^53, so they travel as numbers.
-        click.echo(json.dumps(row, indent=2))
+    _emit_record(row, fmt)
 
 
 @main.command("knot")
@@ -273,24 +280,13 @@ def cmd_knot(ctx, text):
         "canonical_mirror_collapsed": canonicalize(seq, Mode.MIRROR_COLLAPSED).to_text(),
         "amphichiral": is_amphichiral(seq),
     }
-    fmt = ctx.obj["fmt"]
-    with _unbounded_int_text():
-        if fmt == "json":
-            payload = dict(row)
-            payload["value"] = _cell_json(row["value"])
-            click.echo(json.dumps(payload, indent=2))
-        elif fmt == "csv":
-            _emit_rows([row], list(row), "csv")
-        else:
-            width = max(len(k) for k in row)
-            for k, v in row.items():
-                click.echo(f"{k.ljust(width)}  {_cell_text(v)}")
+    _emit_record(row, ctx.obj["fmt"])
 
 
 @main.command("verify")
-@click.option("--max-c", type=int, default=14, show_default=True,
+@click.option("--max-c", type=click.IntRange(3, MAX_ENUM_C), default=14, show_default=True,
               help="Largest crossing number for the enumeration sweeps.")
-@click.option("--max-n", type=int, default=32, show_default=True,
+@click.option("--max-n", type=click.IntRange(min=1), default=32, show_default=True,
               help="Largest n for the identity checks.")
 @click.option("--identities", "identities_only", is_flag=True,
               help="Run only the identity checks.")
@@ -304,10 +300,6 @@ def cmd_verify(ctx, max_c, max_n, identities_only):
     1.3 to 1.7 s at ``--threads 2`` on a shared 2.1 GHz 2-vCPU machine
     with Python 3.11.
     """
-    if max_c < 3:
-        raise click.BadParameter("--max-c must be >= 3")
-    if max_n < 1:
-        raise click.BadParameter("--max-n must be >= 1")
     status = 0
     click.echo(f"identities (n <= {max_n}):")
     reports = identities.identity_suite(max_n)

@@ -31,9 +31,6 @@ def compositions(total: int, parts: int):
         raise ValueError("parts must be >= 1")
     if total < parts:
         return
-    if parts == 1:
-        yield (total,)
-        return
     for cuts in combinations(range(1, total), parts - 1):
         yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
 

@@ -129,17 +129,22 @@ def correction_mirror(c: int) -> Fraction:
     return correction(c)
 
 
+def _average(c: int, tg: int, tk: int, corr: Fraction) -> Fraction:
+    # Total genus over knot count must equal the piecewise form c/4 + 1/12 + corr.
+    via_totals = Fraction(tg, tk)
+    piecewise = Fraction(c, 4) + Fraction(1, 12) + corr
+    if via_totals != piecewise:
+        raise BranchMismatch(f"c={c}: {via_totals} != {piecewise}")
+    return via_totals
+
+
 def avg_genus(c: int) -> Fraction:
     """Average genus at crossing number c, mirrors distinct.
 
     Evaluated both as total genus over knot count and through the
     piecewise form c/4 + 1/12 + correction(c); the two must agree.
     """
-    via_totals = Fraction(tg_closed(c), tk_closed(c))
-    piecewise = Fraction(c, 4) + Fraction(1, 12) + correction(c)
-    if via_totals != piecewise:
-        raise BranchMismatch(f"c={c}: {via_totals} != {piecewise}")
-    return via_totals
+    return _average(c, tg_closed(c), tk_closed(c), correction(c))
 
 
 def avg_genus_mirror(c: int) -> Fraction:
@@ -147,11 +152,7 @@ def avg_genus_mirror(c: int) -> Fraction:
 
     Equals the mirror-distinct average for odd c.
     """
-    via_totals = Fraction(tg_mirror_closed(c), tk_mirror_closed(c))
-    piecewise = Fraction(c, 4) + Fraction(1, 12) + correction_mirror(c)
-    if via_totals != piecewise:
-        raise BranchMismatch(f"c={c}: {via_totals} != {piecewise}")
-    return via_totals
+    return _average(c, tg_mirror_closed(c), tk_mirror_closed(c), correction_mirror(c))
 
 
 def residual(c: int) -> Fraction:

@@ -47,12 +47,17 @@ class KnotClass:
 
     @classmethod
     def from_text(cls, text: str) -> "KnotClass":
+        """Parse ``D:-2,-4``; the sequence must be its class's canonical form."""
         letter, _, body = text.partition(":")
         try:
             mode = Mode(letter)
         except ValueError:
             raise SequenceError(f"invalid mode letter {letter!r}") from None
-        return cls(EvenSequence.from_text(body), mode)
+        seq = EvenSequence.from_text(body)
+        kc = canonicalize(seq, mode)
+        if kc.canonical != seq:
+            raise SequenceError(f"{text!r} is not canonical; its canonical form is {kc.to_text()}")
+        return kc
 
 
 def canonicalize(seq, mode: Mode) -> KnotClass:
@@ -112,10 +117,6 @@ def stratum_members(key: StratumKey, mode: Mode) -> set:
     """
     from .enumeration import sign_patterns
 
-    if not 0 <= key.ell <= len(key.b) - 1:
-        raise ParityMismatch(
-            f"sign-change count {key.ell} not realizable for length {len(key.b)}"
-        )
     doubled = [tuple(2 * x for x in key.b)]
     if key.b[::-1] != key.b:
         doubled.append(tuple(2 * x for x in key.b[::-1]))

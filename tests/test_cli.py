@@ -240,3 +240,27 @@ class TestVerify:
         assert result.exit_code == 0
         assert "enumeration" not in result.output
         assert result.output.count("pass") >= 8
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["formulas", "--max-c", "2"], "'--max-c': 2 is not in the range x>=3"),
+            (["verify", "--max-n", "0"], "'--max-n': 0 is not in the range x>=1"),
+            (
+                ["enumerate", "--crossings", "40"],
+                f"'--crossings': 40 is not in the range 3<=x<={cli.MAX_ENUM_C}",
+            ),
+        ],
+        ids=["formulas", "verify", "enumerate"],
+    )
+    def test_out_of_range_exits_2_before_any_work(self, runner, monkeypatch, args, named):
+        def refuse(*_, **__):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(cli, "tallies", refuse)
+        monkeypatch.setattr(cli, "enumerate_classes", refuse)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert named in result.output

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from twobridge import (
     EvenSequence,
@@ -30,6 +30,33 @@ def even_sequences(draw, max_m=6, max_abs=8):
         2 * draw(st.integers(1, max_abs)) * draw(st.sampled_from((1, -1)))
         for _ in range(2 * m)
     )
+
+
+@st.composite
+def admissible_fractions(draw, max_digits=30):
+    """0 < |x| < 1 with even numerator and odd denominator.
+
+    The gcd of an even and an odd number is odd, so reduction keeps the
+    parities.  The denominator's digit count is drawn first, so that every
+    size up to ``max_digits`` digits is common.  The numerator is drawn
+    modulo its range: Hypothesis favours the ends of a range, and
+    num = den - 1 expands into den - 1 entries.
+    """
+    digits = draw(st.integers(1, max_digits))
+    den = 2 * draw(st.integers(max(1, 10 ** (digits - 1) // 2), (10**digits - 1) // 2)) + 1
+    num = 2 + 2 * (draw(st.integers(0, 10**max_digits)) % ((den - 1) // 2))
+    return Fraction(draw(st.sampled_from((1, -1))) * num, den)
+
+
+def tail_quotient_sum(x):
+    """Sum of the partial quotients a1, a2, ... of |1/x| = [a0; a1, a2, ...]."""
+    a = abs(x.numerator)
+    b = x.denominator % a
+    total = 0
+    while b:
+        total += a // b
+        a, b = b, a % b
+    return total
 
 
 def all_sequences_with_weight(max_weight):
@@ -81,6 +108,10 @@ class TestValidate:
         seq = EvenSequence.from_text("2,-2,4,-6")
         assert tuple(seq) == (2, -2, 4, -6)
         assert seq.to_text() == "2,-2,4,-6"
+
+    @given(even_sequences(max_abs=10**20))
+    def test_text_round_trip_property(self, seq):
+        assert EvenSequence.from_text(seq.to_text()) == seq
 
     def test_bad_token(self):
         with pytest.raises(SequenceError, match="x"):
@@ -183,6 +214,15 @@ class TestEvenExpansion:
                 continue
             assert cf_value(even_expansion(x)) == x
             count += 1
+
+    @given(admissible_fractions())
+    def test_fraction_round_trip_property(self, x):
+        # Values near 1/(e +- 1) expand into about as many entries as their
+        # denominator, e.g. (q-1)/q into q-1 entries.  Such values have a
+        # large partial quotient past the first; skip them so every draw
+        # stays fast.
+        assume(tail_quotient_sum(x) <= 2000)
+        assert cf_value(even_expansion(x)) == x
 
 
 class TestInvariants:

@@ -1,7 +1,8 @@
+import re
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from twobridge import (
     EvenSequence,
@@ -64,6 +65,18 @@ class TestCanonicalize:
     def test_bad_mode_letter_named(self):
         with pytest.raises(SequenceError, match="'X'"):
             KnotClass.from_text("X:2,2")
+
+    @given(even_sequences(max_abs=10**6), st.sampled_from((D, C)))
+    def test_text_round_trip_property(self, seq, mode):
+        kc = canonicalize(seq, mode)
+        assert KnotClass.from_text(kc.to_text()) == kc
+
+    @given(even_sequences(), st.sampled_from((D, C)))
+    def test_non_canonical_text_names_canonical_form(self, seq, mode):
+        kc = canonicalize(seq, mode)
+        assume(kc.canonical != seq)
+        with pytest.raises(SequenceError, match=re.escape(kc.to_text())):
+            KnotClass.from_text(f"{mode.value}:{seq.to_text()}")
 
 
 class TestAmphichiral:
