@@ -25,6 +25,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import click
 
@@ -44,6 +45,11 @@ from .knots import Mode, canonicalize, is_amphichiral
 # tallies([24]) took 3.7 to 5.1 s on a shared 2-vCPU host with Python 3.11,
 # and each +2 in c costs 4 to 5 times more.
 MAX_ENUM_C = 26
+
+# Lines per write of the class stream: click.echo flushes stdout on every
+# call, and a bounded block keeps memory flat up to MAX_ENUM_C, where
+# mode D has 5.6 million classes.
+ECHO_BLOCK = 4096
 
 FORMULA_COLUMNS = [
     "c", "tk", "tg", "avg_genus", "tk_mirror", "tg_mirror", "avg_genus_mirror",
@@ -117,12 +123,18 @@ def _emit_rows(rows, columns, fmt):
 
 
 @_unbounded_int_text()
-def _emit_record(row, fmt):
-    """Print one record: a JSON object, a one-row CSV, or key/value lines."""
+def _emit_record(row, fmt, text_ints=()):
+    """Print one record: a JSON object, a one-row CSV, or key/value lines.
+
+    JSON carries Fractions, and the integers under the keys in
+    ``text_ints``, as decimal strings; the other fields stay plain JSON
+    numbers.
+    """
     if fmt == "json":
-        # Unlike _emit_rows, a record keeps plain JSON numbers: tally counts
-        # stay far below 2^53 for every c up to MAX_ENUM_C.
-        record = {k: _cell_json(v) if isinstance(v, Fraction) else v for k, v in row.items()}
+        record = {
+            k: _cell_json(v) if isinstance(v, Fraction) or k in text_ints else v
+            for k, v in row.items()
+        }
         click.echo(json.dumps(record, indent=2))
     elif fmt == "csv":
         _emit_rows([row], list(row), fmt)
@@ -249,8 +261,9 @@ def cmd_enumerate(ctx, crossings, mode):
     fmt = ctx.obj["fmt"]
     if fmt == "table":
         click.echo(f"c={crossings} mode={mode}")
-        for kc in enumerate_classes(crossings, m):
-            click.echo(kc.canonical.to_text())
+        lines = (kc.canonical.to_text() for kc in enumerate_classes(crossings, m))
+        while block := list(islice(lines, ECHO_BLOCK)):
+            click.echo("\n".join(block))
         return
     t = tallies([crossings], ctx.obj["threads"])[crossings][m]
     gmax = (crossings - 1) // 2
@@ -280,7 +293,9 @@ def cmd_knot(ctx, text):
         "canonical_mirror_collapsed": canonicalize(seq, Mode.MIRROR_COLLAPSED).to_text(),
         "amphichiral": is_amphichiral(seq),
     }
-    _emit_record(row, ctx.obj["fmt"])
+    # The crossing number sums the entries, which are unbounded user input;
+    # genus and sign changes are bounded by the entry count.
+    _emit_record(row, ctx.obj["fmt"], text_ints=("crossing_number",))
 
 
 @main.command("verify")

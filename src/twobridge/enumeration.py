@@ -19,7 +19,7 @@ from itertools import combinations
 from operator import and_, le, mul
 
 from .contfrac import EvenSequence
-from .knots import KnotClass, Mode, _orbit_min
+from .knots import KnotClass, Mode
 
 
 def compositions(total: int, parts: int):
@@ -86,17 +86,73 @@ def enumerate_sequences(c: int):
             yield EvenSequence(entries)
 
 
+def _unit_tables(ell: int, m: int):
+    """Sign patterns of one (ell, m) unit and the index maps of its symmetries.
+
+    Returns ``(patterns, rn, rev, half)``.  With magnitudes b and signs
+    ``patterns[i]``, reverse_negate(b * p) is reversed(b) *
+    ``patterns[rn[i]]``, reverse(b * p) is reversed(b) *
+    ``patterns[rev[i]]``, and negate(b * p) is b * ``patterns[(i + half)
+    % len(patterns)]``: sign_patterns yields the negative-first half
+    last, in the same change order.  So the sequences of b and of
+    reversed(b), built side by side, find their orbit partners by index.
+    """
+    patterns = list(sign_patterns(2 * m, ell))
+    index = {p: i for i, p in enumerate(patterns)}
+    rn = [index[tuple(-x for x in p[::-1])] for p in patterns]
+    rev = [index[p[::-1]] for p in patterns]
+    return patterns, rn, rev, len(patterns) // 2
+
+
+def _class_columns(mode: Mode, rn: list, rev: list, half: int, palindrome: bool):
+    """Where the classes of one composition block sit, by pattern index.
+
+    Returns ``(own_cols, mirror_cols)``: index lists into the block's own
+    sequences and into those of the reversed composition (the same list
+    when the composition is a palindrome).  Row k across the columns
+    lists every member of the k-th orbit met first in this block, and
+    ``own_cols[0][k]`` is the member met first: it precedes its negation
+    (``i < half``) and, when the two blocks coincide, its reverse-negation
+    and its reverse.
+    """
+    if mode is Mode.MIRROR_DISTINCT:
+        sel = [i for i, j in enumerate(rn) if not palindrome or i <= j]
+        return [sel], [[rn[i] for i in sel]]
+    sel = [i for i in range(half) if not palindrome or (i <= rn[i] and i <= rev[i])]
+    return [sel, [i + half for i in sel]], [[rn[i] for i in sel], [rev[i] for i in sel]]
+
+
 def enumerate_classes(c: int, mode: Mode):
     """Yield each knot class with crossing number ``c`` once.
 
-    First-encounter order within the deterministic sequence stream.
+    Order: first encounter in the sequence stream of
+    :func:`enumerate_sequences` (ell, genus, composition, sign-pattern
+    index).  An orbit lies inside one (ell, m) unit, in the block of a
+    composition ``b`` and that of its reverse, so it is met first in the
+    earlier of the two blocks, at its member of smallest pattern index
+    there.  The stream skips the later block and, in the earlier one,
+    yields exactly at that member, with the orbit minimum as key: the
+    same classes in the same order as a set of seen keys would give,
+    without the set and without canonicalising each sequence.
     """
     for ell, m in strata(c):
-        seen = set()
-        for entries in _raw_sequences(c, ell, m):
-            key = _orbit_min(entries, mode)
-            if key not in seen:
-                seen.add(key)
+        patterns, rn, rev, half = _unit_tables(ell, m)
+        general = _class_columns(mode, rn, rev, half, False)
+        palindromic = _class_columns(mode, rn, rev, half, True)
+        for b in compositions((c + ell) // 2, 2 * m):
+            rb = b[::-1]
+            if rb < b:
+                continue  # every orbit here was met in block rb
+            mags = tuple(2 * x for x in b)
+            own = [tuple(map(mul, mags, p)) for p in patterns]
+            if rb == b:
+                mirror, (own_cols, mirror_cols) = own, palindromic
+            else:
+                mirror = [tuple(map(mul, mags[::-1], p)) for p in patterns]
+                own_cols, mirror_cols = general
+            members = [map(own.__getitem__, col) for col in own_cols]
+            members += [map(mirror.__getitem__, col) for col in mirror_cols]
+            for key in map(min, *members):
                 yield KnotClass(EvenSequence(key), mode)
 
 
@@ -126,16 +182,8 @@ def _orbit_minima(c: int, ell: int, m: int) -> dict:
     a mirror-collapsed one iff in addition ``s <= negate(s)`` (that is,
     ``s[0] < 0``) and ``s <= reverse(s)``.
     """
-    patterns = list(sign_patterns(2 * m, ell))
-    index = {p: i for i, p in enumerate(patterns)}
-    # With magnitudes b and signs p, reverse_negate(b * p) is
-    # reversed(b) * reverse_negate(p) and reverse(b * p) is
-    # reversed(b) * reversed(p): built side by side, the sequences of b
-    # and of reversed(b) find each other's orbit partners by index.
-    rn = [index[tuple(-x for x in p[::-1])] for p in patterns]
-    rev = [index[p[::-1]] for p in patterns]
-    # sign_patterns yields the negative-first half last: there s[0] < 0.
-    half = len(patterns) // 2
+    patterns, rn, rev, half = _unit_tables(ell, m)
+    # The negative-first half comes last: there s[0] < 0.
     rn_neg, rev_neg = rn[half:], rev[half:]
     distinct = collapsed = 0
     for b in compositions((c + ell) // 2, 2 * m):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from twobridge import Mode, cli
+from twobridge import Mode, cli, enumerate_classes
 from twobridge.cli import _emit_rows, main
 
 
@@ -89,10 +90,18 @@ class TestKnot:
     def test_figure_eight_json(self, runner):
         result = run(runner, "--format", "json", "knot", "--cf", "2,2")
         data = json.loads(result.output)
-        assert data["crossing_number"] == 4
+        assert data["crossing_number"] == "4"
         assert data["value"] == {"num": "2", "den": "5"}
         assert data["amphichiral"] is True
         assert data["canonical_mirror_distinct"].startswith("D:")
+
+    def test_crossing_number_json_is_decimal_string(self, runner):
+        # 4 * 10^30 overflows a 64-bit consumer, as a JSON number would.
+        entry = "2" + "0" * 30
+        result = run(runner, "--format", "json", "knot", "--cf", f"{entry},{entry}")
+        data = json.loads(result.output)
+        assert data["crossing_number"] == "4" + "0" * 30
+        assert data["genus"] == 1 and data["sign_changes"] == 0
 
     def test_zero_entry_rejected(self, runner):
         result = runner.invoke(main, ["knot", "--cf", "2,0"])
@@ -160,6 +169,24 @@ class TestEnumerate:
         assert {k: csv_value(v) for k, v in out_csv.items()} == {
             k: (v if not isinstance(v, str) else csv_value(v)) for k, v in out_json.items()
         }
+
+    @pytest.mark.parametrize("mode", ["D", "C"])
+    def test_stream_in_blocks_equals_class_stream(self, runner, mode):
+        # c = 16 has 5,461 mirror-distinct classes: more than one block.
+        want = f"c=16 mode={mode}\n" + "".join(
+            kc.canonical.to_text() + "\n" for kc in enumerate_classes(16, Mode(mode))
+        )
+        if mode == "D":
+            assert want.count("\n") > cli.ECHO_BLOCK + 1
+        args = ["enumerate", "--crossings", "16", "--mode", mode]
+        assert run(runner, *args).output == want
+        # In process, as a caller that swaps sys.stdout for a text wrapper.
+        raw = io.BytesIO()
+        text = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
+        with contextlib.redirect_stdout(text):
+            main.main(args, prog_name="twobridge", standalone_mode=False)
+            text.flush()
+        assert raw.getvalue().decode() == want
 
     def test_collapsed_mode(self, runner):
         result = run(runner, "--format", "csv", "enumerate", "--crossings", "10", "--mode", "C")

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from twobridge import (
     enumerate_classes,
     enumerate_sequences,
     genus,
+    sign_changes,
     stratum_closed_A,
     stratum_closed_B,
     tallies,
@@ -95,6 +97,39 @@ class TestEnumerateSequences:
     def test_rejects_small_c(self):
         with pytest.raises(ValueError):
             list(enumerate_sequences(2))
+
+
+def set_route_classes(c, mode):
+    """The set-based stream: first encounter of each orbit minimum, per unit."""
+    out = []
+    for ell, m in strata(c):
+        seen = set()
+        for entries in _raw_sequences(c, ell, m):
+            key = _orbit_min(entries, mode)
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+    return out
+
+
+class TestEnumerateClasses:
+    @pytest.mark.parametrize("mode", [D, C], ids=["D", "C"])
+    def test_equals_set_route_in_order(self, mode):
+        for c in range(3, 17):
+            got = list(enumerate_classes(c, mode))
+            assert all(kc.mode is mode for kc in got)
+            assert [tuple(kc.canonical) for kc in got] == set_route_classes(c, mode), c
+
+    @pytest.mark.parametrize("mode", [D, C], ids=["D", "C"])
+    def test_unit_counts_equal_orbit_minima(self, mode):
+        for c in range(3, 17):
+            per_unit = Counter(
+                (sign_changes(kc.canonical), genus(kc.canonical))
+                for kc in enumerate_classes(c, mode)
+            )
+            for ell, m in strata(c):
+                assert per_unit.pop((ell, m), 0) == _orbit_minima(c, ell, m)[mode], (c, ell, m)
+            assert not per_unit
 
 
 class TestTally:
