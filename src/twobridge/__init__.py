@@ -1,7 +1,7 @@
 """Exact enumeration and closed-form counting of 2-bridge knots by crossing number.
 
 The names below are the public API that README documents.  Generation
-helpers, stratum keys, the independent test oracles and the bug-sentinel
+helpers, binomials, the single identity checks and the bug-sentinel
 errors live in their submodules.
 """
 

@@ -148,15 +148,16 @@ def _ok_text(ok: bool) -> str:
     return "ok" if ok else "MISMATCH"
 
 
-def _parse_threads(value: str) -> int:
+def _parse_threads(ctx, param, value: str) -> int:
+    # A callback, so click's error names --threads, also for TWOBRIDGE_THREADS.
     if value == "auto":
         return os.cpu_count() or 1
     try:
         n = int(value)
     except ValueError:
-        raise click.BadParameter("threads must be a positive integer or 'auto'")
+        n = 0
     if n < 1:
-        raise click.BadParameter("threads must be >= 1")
+        raise click.BadParameter(f"{value!r} is not a positive integer or 'auto'")
     return n
 
 
@@ -174,12 +175,13 @@ def _parse_threads(value: str) -> int:
     default="1",
     show_default=True,
     envvar="TWOBRIDGE_THREADS",
+    callback=_parse_threads,
     help="Worker processes for enumeration, at most one per CPU ('auto' for CPU count).",
 )
 @click.pass_context
 def main(ctx, fmt, threads):
     """Exact 2-bridge knot counts, genera and verification sweeps."""
-    ctx.obj = {"fmt": fmt, "threads": _parse_threads(threads)}
+    ctx.obj = {"fmt": fmt, "threads": threads}
 
 
 def _formula_row(c: int) -> dict:

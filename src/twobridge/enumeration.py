@@ -19,7 +19,7 @@ from itertools import combinations
 from operator import and_, le, mul
 
 from .contfrac import EvenSequence
-from .knots import KnotClass, Mode
+from .knots import KnotClass, Mode, _require_mode
 
 
 def compositions(total: int, parts: int):
@@ -104,6 +104,21 @@ def _unit_tables(ell: int, m: int):
     return patterns, rn, rev, len(patterns) // 2
 
 
+def _blocks(c: int, ell: int, m: int, patterns: list):
+    """Yield ``(own, mirror)``, the sequences of b and of reversed(b) by pattern index.
+
+    b runs over the unit's compositions that are not after their reverse;
+    ``mirror is own`` on a palindrome.  Every orbit lies in one pair.
+    """
+    for b in compositions((c + ell) // 2, 2 * m):
+        rb = b[::-1]
+        if rb < b:
+            continue
+        mags = tuple(2 * x for x in b)
+        own = [tuple(map(mul, mags, p)) for p in patterns]
+        yield own, (own if rb == b else [tuple(map(mul, mags[::-1], p)) for p in patterns])
+
+
 def _class_columns(mode: Mode, rn: list, rev: list, half: int, palindrome: bool):
     """Where the classes of one composition block sit, by pattern index.
 
@@ -127,29 +142,19 @@ def enumerate_classes(c: int, mode: Mode):
 
     Order: first encounter in the sequence stream of
     :func:`enumerate_sequences` (ell, genus, composition, sign-pattern
-    index).  An orbit lies inside one (ell, m) unit, in the block of a
-    composition ``b`` and that of its reverse, so it is met first in the
-    earlier of the two blocks, at its member of smallest pattern index
-    there.  The stream skips the later block and, in the earlier one,
-    yields exactly at that member, with the orbit minimum as key: the
-    same classes in the same order as a set of seen keys would give,
-    without the set and without canonicalising each sequence.
+    index).  An orbit is met first in the earlier of its two composition
+    blocks (see ``_blocks``), at its member of smallest pattern index
+    there; the stream yields exactly at that member, keyed by the orbit
+    minimum.  So it gives the classes a set of seen keys would, in the
+    same order, with no set and no per-sequence canonicalisation.
     """
+    _require_mode(mode)
     for ell, m in strata(c):
         patterns, rn, rev, half = _unit_tables(ell, m)
         general = _class_columns(mode, rn, rev, half, False)
         palindromic = _class_columns(mode, rn, rev, half, True)
-        for b in compositions((c + ell) // 2, 2 * m):
-            rb = b[::-1]
-            if rb < b:
-                continue  # every orbit here was met in block rb
-            mags = tuple(2 * x for x in b)
-            own = [tuple(map(mul, mags, p)) for p in patterns]
-            if rb == b:
-                mirror, (own_cols, mirror_cols) = own, palindromic
-            else:
-                mirror = [tuple(map(mul, mags[::-1], p)) for p in patterns]
-                own_cols, mirror_cols = general
+        for own, mirror in _blocks(c, ell, m, patterns):
+            own_cols, mirror_cols = palindromic if mirror is own else general
             members = [map(own.__getitem__, col) for col in own_cols]
             members += [map(mirror.__getitem__, col) for col in mirror_cols]
             for key in map(min, *members):
@@ -186,17 +191,8 @@ def _orbit_minima(c: int, ell: int, m: int) -> dict:
     # The negative-first half comes last: there s[0] < 0.
     rn_neg, rev_neg = rn[half:], rev[half:]
     distinct = collapsed = 0
-    for b in compositions((c + ell) // 2, 2 * m):
-        rb = b[::-1]
-        if rb < b:
-            continue  # walked together with rb
-        mags = tuple(2 * x for x in b)
-        own = [tuple(map(mul, mags, p)) for p in patterns]
-        if rb == b:
-            pairs = ((own, own),)
-        else:
-            mirror = [tuple(map(mul, mags[::-1], p)) for p in patterns]
-            pairs = ((own, mirror), (mirror, own))
+    for own, mirror in _blocks(c, ell, m, patterns):
+        pairs = ((own, own),) if mirror is own else ((own, mirror), (mirror, own))
         for seqs, partners in pairs:
             get = partners.__getitem__
             distinct += sum(map(le, seqs, map(get, rn)))
@@ -248,4 +244,5 @@ def tallies(cs, threads: int = 1) -> dict:
 
 def tally(c: int, mode: Mode, threads: int = 1) -> Tally:
     """Count knot classes with crossing number ``c`` in one mode, stratified."""
+    _require_mode(mode)
     return tallies([c], threads)[c][mode]

@@ -39,6 +39,8 @@ def _exact_div(n: int, d: int) -> int:
 
 
 def _require_c(c: int):
+    if not isinstance(c, int):
+        raise TypeError(f"crossing number {c!r} is not an int")
     if c < 3:
         raise ValueError("crossing number must be >= 3")
 
@@ -225,34 +227,6 @@ def stratum_closed_B(k: int, l: int, parity: str) -> Fraction:
                 * binom((k + l - 1) // 2, l)
             )
     return Fraction(_as_int(value))
-
-
-def tg_mirror_by_strata(c: int) -> int:
-    """Mirror-collapsed total genus for even c by direct double summation.
-
-    Sums half a genus per mirror-distinct class over all strata, plus
-    half a genus per class fixed by mirroring (built from symmetric
-    sign assignments over symmetric magnitude vectors).  Provided as an
-    independent evaluation route for the even-c closed form.
-    """
-    _require_c(c)
-    if c % 2:
-        raise ValueError("direct double summation is defined for even c")
-    k = c // 2
-    total = Fraction(0)
-    for l in range(k):
-        for m in range(l + 1, (k + l) // 2 + 1):
-            total += (
-                Fraction(m, 2) * binom(k + l - 1, 2 * m - 1) * binom(2 * m - 1, 2 * l)
-            )
-        if (l + k) % 2 == 0:
-            for m in range(l + 1, (k + l) // 2 + 1):
-                total += (
-                    Fraction(m, 2)
-                    * binom((k + l - 2) // 2, m - 1)
-                    * binom(m - 1, l)
-                )
-    return _as_int(total)
 
 
 def check_tallies(found: dict) -> dict:

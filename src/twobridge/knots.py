@@ -13,11 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .contfrac import EvenSequence, SequenceError, sign_changes
-
-
-class ParityMismatch(ValueError):
-    """The sign-change count of a stratum key is not realizable."""
+from .contfrac import EvenSequence, SequenceError
 
 
 class Mode(enum.Enum):
@@ -25,6 +21,11 @@ class Mode(enum.Enum):
 
     MIRROR_DISTINCT = "D"
     MIRROR_COLLAPSED = "C"
+
+
+def _require_mode(mode):
+    if not isinstance(mode, Mode):  # a letter would silently get the collapsed rules
+        raise TypeError(f"mode {mode!r} is not a Mode member")
 
 
 def _orbit_min(entries: tuple, mode: Mode) -> tuple:
@@ -66,6 +67,7 @@ def canonicalize(seq, mode: Mode) -> KnotClass:
     Constant on orbits and idempotent: canonicalizing a canonical
     representative returns it unchanged.
     """
+    _require_mode(mode)
     s = EvenSequence(seq)
     return KnotClass(EvenSequence(_orbit_min(tuple(s), mode)), mode)
 
@@ -80,49 +82,3 @@ def is_amphichiral(seq) -> bool:
     t = tuple(EvenSequence(seq))
     d = Mode.MIRROR_DISTINCT
     return _orbit_min(t, d) == _orbit_min(tuple(-e for e in t), d)
-
-
-@dataclass(frozen=True)
-class StratumKey:
-    """Magnitude vector (entries halved) plus a sign-change count."""
-
-    b: tuple
-    ell: int
-
-    def __post_init__(self):
-        b = tuple(self.b)
-        object.__setattr__(self, "b", b)
-        if len(b) < 2 or len(b) % 2:
-            raise ValueError(f"magnitude vector length {len(b)} not even >= 2")
-        if any(not isinstance(x, int) or x < 1 for x in b):
-            raise ValueError("magnitudes must be integers >= 1")
-        if not 0 <= self.ell <= len(b) - 1:
-            raise ParityMismatch(
-                f"sign-change count {self.ell} not realizable for length {len(b)}"
-            )
-
-
-def stratum_of(seq) -> StratumKey:
-    """Key of the stratum containing ``seq``."""
-    s = EvenSequence(seq)
-    return StratumKey(tuple(abs(e) // 2 for e in s), sign_changes(s))
-
-
-def stratum_members(key: StratumKey, mode: Mode) -> set:
-    """All knot classes realizing the key's magnitudes and sign changes.
-
-    A class belongs to the stratum of ``b`` exactly when it belongs to
-    the stratum of reversed ``b``, so sequences are generated from both
-    orderings and deduplicated through canonical forms.
-    """
-    from .enumeration import sign_patterns
-
-    doubled = [tuple(2 * x for x in key.b)]
-    if key.b[::-1] != key.b:
-        doubled.append(tuple(2 * x for x in key.b[::-1]))
-    out = set()
-    for mags in doubled:
-        for signs in sign_patterns(len(mags), key.ell):
-            entries = tuple(m * s for m, s in zip(mags, signs))
-            out.add(KnotClass(EvenSequence(_orbit_min(entries, mode)), mode))
-    return out

@@ -244,6 +244,24 @@ class TestTable1:
         result = runner.invoke(main, ["--threads", "zero", "table1", "--max-c", "4"])
         assert result.exit_code != 0
 
+    def test_threads_env_var_and_flag_precedence(self, runner, monkeypatch):
+        asked = []
+        real = cli.tallies
+
+        def spy(cs, threads=1):
+            asked.append(threads)
+            return real(cs)
+
+        monkeypatch.setattr(cli, "tallies", spy)
+        env = {"TWOBRIDGE_THREADS": "2"}
+        assert runner.invoke(main, ["table1", "--max-c", "4"], env=env).exit_code == 0
+        args = ["--threads", "1", "table1", "--max-c", "4"]
+        assert runner.invoke(main, args, env=env).exit_code == 0
+        assert asked == [2, 1]
+        bad = runner.invoke(main, ["table1", "--max-c", "4"], env={"TWOBRIDGE_THREADS": "0"})
+        assert bad.exit_code == 2
+        assert "Invalid value for '--threads': '0'" in bad.output
+
 
 class TestVerify:
     def test_small_sweep_passes(self, runner):
@@ -279,8 +297,12 @@ class TestBounds:
                 ["enumerate", "--crossings", "40"],
                 f"'--crossings': 40 is not in the range 3<=x<={cli.MAX_ENUM_C}",
             ),
+            (
+                ["--threads", "0", "table1", "--max-c", "4"],
+                "'--threads': '0' is not a positive integer or 'auto'",
+            ),
         ],
-        ids=["formulas", "verify", "enumerate"],
+        ids=["formulas", "verify", "enumerate", "threads"],
     )
     def test_out_of_range_exits_2_before_any_work(self, runner, monkeypatch, args, named):
         def refuse(*_, **__):

@@ -26,13 +26,13 @@ from twobridge.formulas import (
     NonIntegerResult,
     _as_int,
     _exact_div,
-    tg_mirror_by_strata,
 )
 from twobridge.identities import binom
 
 CLOSED_FORMS_OF_C = (
     tk_closed, tg_closed, tk_mirror_closed, tg_mirror_closed,
     correction, correction_mirror, avg_genus, avg_genus_mirror,
+    residual, residual_mirror,
 )
 
 
@@ -67,6 +67,23 @@ def stratum_sum_B(k, l, parity):
     return total
 
 
+def tg_mirror_double_sum(c):
+    """Mirror-collapsed total genus for even c by direct double summation.
+
+    Half a genus per mirror-distinct class over all strata, plus half a
+    genus per class fixed by mirroring (symmetric sign assignments over
+    symmetric magnitude vectors).
+    """
+    k = c // 2
+    total = Fraction(0)
+    for l in range(k):
+        for m in range(l + 1, (k + l) // 2 + 1):
+            total += Fraction(m, 2) * binom(k + l - 1, 2 * m - 1) * binom(2 * m - 1, 2 * l)
+            if (l + k) % 2 == 0:
+                total += Fraction(m, 2) * binom((k + l - 2) // 2, m - 1) * binom(m - 1, l)
+    return _as_int(total)
+
+
 class TestKnotCounts:
     @pytest.mark.parametrize("c,expected", [(7, 14), (13, 704), (4, 1)])
     def test_tk(self, c, expected):
@@ -88,6 +105,8 @@ class TestKnotCounts:
     def test_rejects_small_c(self, fn):
         with pytest.raises(ValueError, match="crossing number must be >= 3"):
             fn(2)
+        with pytest.raises(TypeError, match="crossing number 7.0 is not an int"):
+            fn(7.0)
 
 
 class TestAverages:
@@ -174,15 +193,11 @@ class TestStratumClosedForms:
 class TestMirrorGenusByStrata:
     def test_matches_closed_form(self):
         for c in range(4, 201, 2):
-            assert tg_mirror_by_strata(c) == tg_mirror_closed(c)
+            assert tg_mirror_double_sum(c) == tg_mirror_closed(c)
 
     def test_matches_enumeration(self):
         for c in range(4, 15, 2):
-            assert tg_mirror_by_strata(c) == tally(c, Mode.MIRROR_COLLAPSED).total_genus
-
-    def test_odd_c_rejected(self):
-        with pytest.raises(ValueError):
-            tg_mirror_by_strata(5)
+            assert tg_mirror_double_sum(c) == tally(c, Mode.MIRROR_COLLAPSED).total_genus
 
 
 class TestSentinels:

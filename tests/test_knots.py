@@ -16,11 +16,26 @@ from twobridge import (
     is_amphichiral,
     tally,
 )
+from twobridge import enumeration, knots
+from twobridge.enumeration import sign_patterns
 from twobridge.identities import binom
-from twobridge.knots import ParityMismatch, StratumKey, stratum_members, stratum_of
+from twobridge.knots import _orbit_min
 
 D = Mode.MIRROR_DISTINCT
 C = Mode.MIRROR_COLLAPSED
+
+
+def stratum_classes(b, ell, mode):
+    """Classes of the stratum of halved magnitudes b with ell sign changes.
+
+    Brute force: the sequences of b and of reversed b, deduplicated by
+    orbit minimum.
+    """
+    return {
+        _orbit_min(tuple(2 * x * s for x, s in zip(mags, signs)), mode)
+        for mags in (b, b[::-1])
+        for signs in sign_patterns(len(mags), ell)
+    }
 
 
 @st.composite
@@ -79,6 +94,28 @@ class TestCanonicalize:
             KnotClass.from_text(f"{mode.value}:{seq.to_text()}")
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda mode: canonicalize((2, -4), mode),
+        lambda mode: next(enumerate_classes(7, mode)),
+        lambda mode: tally(7, mode),
+    ],
+    ids=["canonicalize", "enumerate_classes", "tally"],
+)
+def test_mode_letter_refused_before_any_work(entry, monkeypatch):
+    # A letter must neither take the collapsed rules unnoticed ("D" would
+    # give 7 classes at c = 7, not 14) nor die with a bare KeyError.
+    def refuse(*_, **__):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(knots, "_orbit_min", refuse)
+    monkeypatch.setattr(enumeration, "strata", refuse)
+    monkeypatch.setattr(enumeration, "tallies", refuse)
+    with pytest.raises(TypeError, match="mode 'D' is not a Mode member"):
+        entry("D")
+
+
 class TestAmphichiral:
     def test_examples(self):
         assert is_amphichiral((2, 2)) is True
@@ -115,38 +152,13 @@ class TestAmphichiral:
 
 
 class TestStrata:
-    @pytest.mark.parametrize(
-        "seq,b,ell",
-        [
-            ((2, 2), (1, 1), 0),
-            ((2, -2), (1, 1), 1),
-            ((4, -2, 2, 2), (2, 1, 1, 1), 2),
-        ],
-    )
-    def test_stratum_of(self, seq, b, ell):
-        key = stratum_of(seq)
-        assert key.b == b
-        assert key.ell == ell
-
-    def test_key_rejects_unrealizable_ell(self):
-        with pytest.raises(ParityMismatch):
-            StratumKey((1, 1), 2)
-
-    def test_key_rejects_bad_magnitudes(self):
-        with pytest.raises(ValueError):
-            StratumKey((1, 0), 0)
-        with pytest.raises(ValueError):
-            StratumKey((1, 1, 1), 0)
-
     def test_members_examples(self):
-        got = {k.canonical for k in stratum_members(StratumKey((1, 1), 1), D)}
-        assert got == {
+        assert stratum_classes((1, 1), 1, D) == {
             canonicalize((2, -2), D).canonical,
             canonicalize((-2, 2), D).canonical,
         }
-        assert len(stratum_members(StratumKey((1, 1), 0), D)) == 1
-        two = stratum_members(StratumKey((1, 2), 0), D)
-        assert {k.canonical for k in two} == {
+        assert len(stratum_classes((1, 1), 0, D)) == 1
+        assert stratum_classes((1, 2), 0, D) == {
             canonicalize((2, 4), D).canonical,
             canonicalize((-2, -4), D).canonical,
         }
@@ -158,7 +170,7 @@ class TestStrata:
         for m in (1, 2, 3):
             for b in product(range(1, 4), repeat=2 * m):
                 for ell in range(2 * m):
-                    got = len(stratum_members(StratumKey(b, ell), D))
+                    got = len(stratum_classes(b, ell, D))
                     if b[::-1] != b:
                         want = 2 * binom(2 * m - 1, ell)
                     elif ell % 2 == 0:
