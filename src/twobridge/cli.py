@@ -313,8 +313,8 @@ def cmd_verify(ctx, max_c, max_n, identities_only):
 
     Exit status is a bitmask of failing suites: 1 identities, 2 closed
     forms vs enumeration, 4 strata.  The full desk-scale sweep is
-    ``verify --max-c 22 --max-n 64``: about 2 s at ``--threads 1`` and
-    1.3 to 1.7 s at ``--threads 2`` on a shared 2.1 GHz 2-vCPU machine
+    ``verify --max-c 22 --max-n 64``: 1.9 to 2.2 s at ``--threads 1`` and
+    1.26 to 1.42 s at ``--threads 2`` on a shared 2.1 GHz 2-vCPU machine
     with Python 3.11.
     """
     status = 0

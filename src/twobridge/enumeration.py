@@ -15,11 +15,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from operator import and_, le, mul
 
 from .contfrac import EvenSequence
-from .knots import KnotClass, Mode, _require_mode
+from .knots import KnotClass, Mode, _require_c, _require_mode
 
 
 def compositions(total: int, parts: int):
@@ -44,22 +44,16 @@ def sign_patterns(length: int, ell: int):
     if not 0 <= ell <= length - 1:
         return
     for first in (1, -1):
-        for changes in combinations(range(length - 1), ell):
-            pat = [first] * length
-            cur = first
-            j = 0
-            for i in range(1, length):
-                if j < ell and changes[j] == i - 1:
-                    cur = -cur
-                    j += 1
-                pat[i] = cur
-            yield tuple(pat)
+        for changes in combinations(range(1, length), ell):
+            flips = [first] + [1] * (length - 1)
+            for i in changes:
+                flips[i] = -1
+            yield tuple(accumulate(flips, mul))
 
 
 def strata(c: int):
     """Feasible (ell, m) pairs for crossing number c, in generation order."""
-    if c < 3:
-        raise ValueError("crossing number must be >= 3")
+    _require_c(c)
     for ell in range(c % 2, c - 1, 2):
         for m in range(ell // 2 + 1, (c + ell) // 4 + 1):
             yield ell, m
@@ -94,14 +88,22 @@ def _unit_tables(ell: int, m: int):
     ``patterns[rn[i]]``, reverse(b * p) is reversed(b) *
     ``patterns[rev[i]]``, and negate(b * p) is b * ``patterns[(i + half)
     % len(patterns)]``: sign_patterns yields the negative-first half
-    last, in the same change order.  So the sequences of b and of
-    reversed(b), built side by side, find their orbit partners by index.
+    last, in the same change order; and reverse-negation is negation
+    after reversal, so ``rn[i]`` is ``(rev[i] + half) % len(patterns)``.
+    So the sequences of b and of reversed(b), built side by side, find
+    their orbit partners by index.
     """
     patterns = list(sign_patterns(2 * m, ell))
     index = {p: i for i, p in enumerate(patterns)}
-    rn = [index[tuple(-x for x in p[::-1])] for p in patterns]
     rev = [index[p[::-1]] for p in patterns]
-    return patterns, rn, rev, len(patterns) // 2
+    half = len(patterns) // 2
+    rn = [(i + half) % len(patterns) for i in rev]
+    return patterns, rn, rev, half
+
+
+def _signed(mags: tuple, patterns: list) -> list:
+    # mags * p for every pattern p; the tuples are built in C, with no bytecode per pattern.
+    return list(map(tuple, map(map, repeat(mul), repeat(mags), patterns)))
 
 
 def _blocks(c: int, ell: int, m: int, patterns: list):
@@ -115,8 +117,8 @@ def _blocks(c: int, ell: int, m: int, patterns: list):
         if rb < b:
             continue
         mags = tuple(2 * x for x in b)
-        own = [tuple(map(mul, mags, p)) for p in patterns]
-        yield own, (own if rb == b else [tuple(map(mul, mags[::-1], p)) for p in patterns])
+        own = _signed(mags, patterns)
+        yield own, (own if rb == b else _signed(mags[::-1], patterns))
 
 
 def _class_columns(mode: Mode, rn: list, rev: list, half: int, palindrome: bool):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .identities import binom
-from .knots import Mode
+from .knots import Mode, _require_c
 
 
 class InexactDivision(ArithmeticError):
@@ -36,13 +36,6 @@ def _exact_div(n: int, d: int) -> int:
     if r:
         raise InexactDivision(f"{n} is not divisible by {d}")
     return q
-
-
-def _require_c(c: int):
-    if not isinstance(c, int):
-        raise TypeError(f"crossing number {c!r} is not an int")
-    if c < 3:
-        raise ValueError("crossing number must be >= 3")
 
 
 def _as_int(x: Fraction) -> int:
@@ -168,6 +161,9 @@ def residual_mirror(c: int) -> Fraction:
 
 
 def _check_stratum_args(k: int, l: int, parity: str):
+    for name, value in (("k", k), ("l", l)):
+        if not isinstance(value, int) or isinstance(value, bool):  # True would count as 1
+            raise TypeError(f"{name}={value!r} is not an int")
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     kmin = 2 if parity == "even" else 1

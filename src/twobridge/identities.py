@@ -2,7 +2,10 @@
 
 Every check compares a direct summation against a closed form or a
 recurrence, exactly, over a range of integer (and rational) points, and
-reports the first counterexample if any.
+reports the first counterexample if any.  Each sum is evaluated over the
+integers and reduced once: at x = p/d the alpha and beta sums are
+accumulated as integer numerators over d^k, and the binomial tables are
+compared entry by entry as integers.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 def binom(n: int, k: int) -> int:
@@ -48,16 +52,31 @@ class IdentityReport:
         )
 
 
+def _poly_at(coeffs: list, x: Fraction) -> Fraction:
+    """Sum of coeffs[q] * x^q, by Horner's rule over the integers.
+
+    With x = p/d and k = len(coeffs) - 1, the numerator
+    sum a_q p^q d^(k-q) is accumulated in integers and reduced once, as
+    Fraction(numerator, d^k).
+    """
+    if not coeffs:
+        return Fraction(0)
+    p, d = x.numerator, x.denominator
+    num, den = coeffs[-1], 1
+    for a in coeffs[-2::-1]:
+        den *= d
+        num = num * p + a * den
+    return Fraction(num, den)
+
+
 def alpha_sum(n: int, x) -> Fraction:
     """Sum of x^q * C(2n-1-q, q) over q = 0 .. n-1."""
-    x = Fraction(x)
-    return sum((x**q * binom(2 * n - 1 - q, q) for q in range(n)), Fraction(0))
+    return _poly_at([binom(2 * n - 1 - q, q) for q in range(n)], Fraction(x))
 
 
 def beta_sum(n: int, x) -> Fraction:
     """Sum of x^q * C(2n-q, q) over q = 0 .. n."""
-    x = Fraction(x)
-    return sum((x**q * binom(2 * n - q, q) for q in range(n + 1)), Fraction(0))
+    return _poly_at([binom(2 * n - q, q) for q in range(n + 1)], Fraction(x))
 
 
 def alpha_recurrence_check(n_max: int, x) -> IdentityReport:
@@ -124,18 +143,22 @@ def wellknown_check(n_max: int) -> IdentityReport:
     (for n >= 1), and the weighted row sum n 2^(n-1).
     """
 
+    rows = [[math.comb(n, q) for q in range(n + 1)] for n in range(n_max + 1)]
+
     def failures():
-        for a in range(n_max + 1):
+        for a, row in enumerate(rows):
             for b in range(a + 1):
+                ab, rb = row[b], rows[b]
                 for c in range(b + 1):
-                    if binom(a, b) * binom(b, c) != binom(a, c) * binom(a - c, b - c):
+                    if ab * rb[c] != row[c] * rows[a - c][b - c]:
                         yield f"product, a={a} b={b} c={c}"
         for n in range(1, n_max + 1):
-            if sum(binom(n, q) for q in range(n + 1)) != 2**n:
+            row = rows[n]
+            if sum(row) != 2**n:
                 yield f"row sum, n={n}"
-            if sum(binom(n, 2 * q) for q in range(n // 2 + 1)) != 2 ** (n - 1):
+            if sum(row[::2]) != 2 ** (n - 1):
                 yield f"even row sum, n={n}"
-            if sum(q * binom(n, q) for q in range(n + 1)) != n * 2 ** (n - 1):
+            if sum(map(mul, range(n + 1), row)) != n * 2 ** (n - 1):
                 yield f"weighted row sum, n={n}"
 
     return IdentityReport("wellknown", (0, n_max), (), next(failures(), None))

@@ -28,6 +28,13 @@ def _require_mode(mode):
         raise TypeError(f"mode {mode!r} is not a Mode member")
 
 
+def _require_c(c: int):
+    if not isinstance(c, int):
+        raise TypeError(f"crossing number {c!r} is not an int")
+    if c < 3:
+        raise ValueError("crossing number must be >= 3")
+
+
 def _orbit_min(entries: tuple, mode: Mode) -> tuple:
     # Hot path: plain tuples in, plain tuple out.
     rn = tuple(-e for e in entries[::-1])

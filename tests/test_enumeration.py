@@ -1,6 +1,7 @@
 import os
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +23,7 @@ from twobridge import enumeration
 from twobridge.enumeration import (
     _orbit_minima,
     _raw_sequences,
+    _unit_tables,
     _worker_count,
     compositions,
     sign_patterns,
@@ -55,7 +57,36 @@ class TestCompositions:
                 assert len(set(got)) == len(got)
 
 
+def loop_sign_patterns(length, ell):
+    """Sign patterns built entry by entry from the change positions: a reference."""
+    if not 0 <= ell <= length - 1:
+        return
+    for first in (1, -1):
+        for changes in combinations(range(length - 1), ell):
+            pat = [first] * length
+            cur = first
+            j = 0
+            for i in range(1, length):
+                if j < ell and changes[j] == i - 1:
+                    cur = -cur
+                    j += 1
+                pat[i] = cur
+            yield tuple(pat)
+
+
 class TestSignPatterns:
+    def test_equals_loop_reference(self):
+        for length in range(1, 15):
+            for ell in range(-1, length + 1):
+                assert list(sign_patterns(length, ell)) == list(loop_sign_patterns(length, ell))
+
+    def test_rn_table_equals_explicit_lookup(self):
+        for m in range(1, 8):
+            for ell in range(2 * m):
+                patterns, rn, _, _ = _unit_tables(ell, m)
+                index = {p: i for i, p in enumerate(patterns)}
+                assert rn == [index[tuple(-x for x in reversed(p))] for p in patterns]
+
     def test_one_change(self):
         assert list(sign_patterns(2, 1)) == [(1, -1), (-1, 1)]
 
@@ -97,6 +128,19 @@ class TestEnumerateSequences:
     def test_rejects_small_c(self):
         with pytest.raises(ValueError):
             list(enumerate_sequences(2))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: tallies([7.0]),
+            lambda: next(enumerate_sequences(7.0)),
+            lambda: next(enumerate_classes(7.0, D)),
+        ],
+        ids=["tallies", "enumerate_sequences", "enumerate_classes"],
+    )
+    def test_non_int_c_named(self, entry):
+        with pytest.raises(TypeError, match="crossing number 7.0 is not an int"):
+            entry()
 
 
 def set_route_classes(c, mode):

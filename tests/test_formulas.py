@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from twobridge import (
     tk_closed,
     tk_mirror_closed,
 )
+from twobridge import formulas
 from twobridge.formulas import (
     InexactDivision,
     NonIntegerResult,
@@ -188,6 +190,18 @@ class TestStratumClosedForms:
             stratum_closed_A(2, 0, "both")
         with pytest.raises(ValueError):
             stratum_closed_B(1, 0, "even")
+
+    @pytest.mark.parametrize("fn", [stratum_closed_A, stratum_closed_B], ids=["A", "B"])
+    @pytest.mark.parametrize(
+        "args,named",
+        [((True, 0, "odd"), "k=True"), ((2, True, "even"), "l=True"),
+         ((3.0, 0, "even"), "k=3.0"), ((3, 0.0, "odd"), "l=0.0")],
+    )
+    def test_non_int_argument_named(self, fn, args, named, monkeypatch):
+        # A bool must not count as 0 or 1, nor a float reach math.comb.
+        monkeypatch.setattr(formulas, "binom", None)
+        with pytest.raises(TypeError, match=f"^{re.escape(named)} is not an int$"):
+            fn(*args)
 
 
 class TestMirrorGenusByStrata:

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from twobridge import IdentityReport
+from twobridge import IdentityReport, identity_suite
+from twobridge import identities
 from twobridge.identities import (
     alpha_recurrence_check,
     alpha_sum,
@@ -14,6 +15,13 @@ from twobridge.identities import (
 )
 
 RECURRENCE_POINTS = (0, 1, 2, -1, Fraction(3, 2))
+SUM_POINTS = RECURRENCE_POINTS + (Fraction(-7, 5), Fraction(5, 3))
+
+
+def termwise_sum(coeffs, x):
+    """Sum of coeffs[q] * x^q, one Fraction term at a time."""
+    x = Fraction(x)
+    return sum((a * x**q for q, a in enumerate(coeffs)), Fraction(0))
 
 
 def test_binom_vanishing_convention():
@@ -34,6 +42,23 @@ def test_alpha_beta_frozen_values():
     assert beta_sum(2, 2) == 1 + 2 * binom(3, 1) + 4 * binom(2, 2) == 11
     assert alpha_sum(2, 2) == Fraction(4**2 - 1, 3)
     assert beta_sum(2, 2) == Fraction(2 * 16 + 1, 3)
+
+
+@pytest.mark.parametrize("x", SUM_POINTS, ids=str)
+def test_sums_equal_termwise_reference(x):
+    for n in range(71):
+        alpha = alpha_sum(n, x)
+        assert alpha == termwise_sum([binom(2 * n - 1 - q, q) for q in range(n)], x), n
+        assert beta_sum(n, x) == termwise_sum([binom(2 * n - q, q) for q in range(n + 1)], x), n
+        assert type(alpha) is Fraction
+
+
+def test_suite_reports_a_wrong_binomial(monkeypatch):
+    # One coefficient off by one, C(5, 2) = 11: alpha(4) changes at every
+    # x but 0, so some check in the suite must fail.
+    assert all(rep.passed for rep in identity_suite(16))
+    monkeypatch.setattr(identities, "binom", lambda n, k: binom(n, k) + ((n, k) == (5, 2)))
+    assert not all(rep.passed for rep in identity_suite(16))
 
 
 def test_recurrences_at_pinned_points():
