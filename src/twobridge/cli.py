@@ -42,8 +42,8 @@ from .enumeration import enumerate_classes, tallies
 from .knots import Mode, canonicalize, is_amphichiral
 
 # Largest crossing number a command enumerates, a work budget:
-# tallies([24]) took 3.7 to 5.1 s on a shared 2-vCPU host with Python 3.11,
-# and each +2 in c costs 4 to 5 times more.
+# tallies([24]) took 1.2 to 1.4 s on a shared 2-vCPU host with Python 3.11,
+# and each +2 in c costs about 4 times more.
 MAX_ENUM_C = 26
 
 # Lines per write of the class stream: click.echo flushes stdout on every
@@ -313,9 +313,9 @@ def cmd_verify(ctx, max_c, max_n, identities_only):
 
     Exit status is a bitmask of failing suites: 1 identities, 2 closed
     forms vs enumeration, 4 strata.  The full desk-scale sweep is
-    ``verify --max-c 22 --max-n 64``: 1.9 to 2.2 s at ``--threads 1`` and
-    1.26 to 1.42 s at ``--threads 2`` on a shared 2.1 GHz 2-vCPU machine
-    with Python 3.11.
+    ``verify --max-c 22 --max-n 64``: 0.92 to 1.10 s at ``--threads 1``
+    and 0.71 to 0.79 s at ``--threads 2`` on a shared 2.1 GHz 2-vCPU
+    machine with Python 3.11.
     """
     status = 0
     click.echo(f"identities (n <= {max_n}):")

@@ -112,6 +112,13 @@ def cf_value(seq) -> Fraction:
     return Fraction(num, den)
 
 
+def _exact(x) -> Fraction:
+    # A float is a dyadic approximation, never the fraction meant.
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; pass a Fraction or an int")
+    return Fraction(x)
+
+
 def even_expansion(x) -> EvenSequence:
     """Expand a fraction into the unique even sequence evaluating to it.
 
@@ -123,12 +130,9 @@ def even_expansion(x) -> EvenSequence:
     strictly decreases in absolute value, so the loop terminates.  For
     admissible inputs the parities of numerator and denominator
     alternate in a way that makes every quotient even and nonzero and
-    the final length even.  A float is refused: its value is a dyadic
-    approximation, never the fraction meant.
+    the final length even.  A float is refused.
     """
-    if isinstance(x, float):
-        raise TypeError(f"{x!r} is a float; pass a Fraction or an int")
-    x = Fraction(x)
+    x = _exact(x)
     if not 0 < abs(x) < 1:
         raise OutOfRange(f"{x} is not strictly between -1 and 1, or is zero")
     if x.denominator % 2 == 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations
 from operator import and_, le, mul
 
 from .contfrac import EvenSequence
@@ -90,8 +90,8 @@ def _unit_tables(ell: int, m: int):
     % len(patterns)]``: sign_patterns yields the negative-first half
     last, in the same change order; and reverse-negation is negation
     after reversal, so ``rn[i]`` is ``(rev[i] + half) % len(patterns)``.
-    So the sequences of b and of reversed(b), built side by side, find
-    their orbit partners by index.
+    So the sequences of b and of reversed(b), built side by side from
+    one column table (see ``_blocks``), find their orbit partners by index.
     """
     patterns = list(sign_patterns(2 * m, ell))
     index = {p: i for i, p in enumerate(patterns)}
@@ -101,24 +101,23 @@ def _unit_tables(ell: int, m: int):
     return patterns, rn, rev, half
 
 
-def _signed(mags: tuple, patterns: list) -> list:
-    # mags * p for every pattern p; the tuples are built in C, with no bytecode per pattern.
-    return list(map(tuple, map(map, repeat(mul), repeat(mags), patterns)))
-
-
 def _blocks(c: int, ell: int, m: int, patterns: list):
     """Yield ``(own, mirror)``, the sequences of b and of reversed(b) by pattern index.
 
     b runs over the unit's compositions that are not after their reverse;
     ``mirror is own`` on a palindrome.  Every orbit lies in one pair.
+    A block zips one column per position, each sequence one tuple built in C.
     """
-    for b in compositions((c + ell) // 2, 2 * m):
+    total = (c + ell) // 2
+    # columns[j][x] lists 2x * p[j] over the patterns p, for every part x >= 1.
+    columns = [[None] + [[2 * x * s for s in signs] for x in range(1, total - 2 * m + 2)]
+               for signs in zip(*patterns)]
+    for b in compositions(total, 2 * m):
         rb = b[::-1]
         if rb < b:
             continue
-        mags = tuple(2 * x for x in b)
-        own = _signed(mags, patterns)
-        yield own, (own if rb == b else _signed(mags[::-1], patterns))
+        own = list(zip(*map(list.__getitem__, columns, b)))
+        yield own, (own if rb == b else list(zip(*map(list.__getitem__, columns, rb))))
 
 
 def _class_columns(mode: Mode, rn: list, rev: list, half: int, palindrome: bool):

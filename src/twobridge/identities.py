@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .contfrac import _exact
+
 
 def binom(n: int, k: int) -> int:
     """Binomial coefficient with the vanishing convention outside 0 <= k <= n."""
@@ -70,22 +72,25 @@ def _poly_at(coeffs: list, x: Fraction) -> Fraction:
 
 
 def alpha_sum(n: int, x) -> Fraction:
-    """Sum of x^q * C(2n-1-q, q) over q = 0 .. n-1."""
-    return _poly_at([binom(2 * n - 1 - q, q) for q in range(n)], Fraction(x))
+    """Sum of x^q * C(2n-1-q, q) over q = 0 .. n-1; a float x is refused."""
+    return _poly_at([binom(2 * n - 1 - q, q) for q in range(n)], _exact(x))
 
 
 def beta_sum(n: int, x) -> Fraction:
-    """Sum of x^q * C(2n-q, q) over q = 0 .. n."""
-    return _poly_at([binom(2 * n - q, q) for q in range(n + 1)], Fraction(x))
+    """Sum of x^q * C(2n-q, q) over q = 0 .. n; a float x is refused."""
+    return _poly_at([binom(2 * n - q, q) for q in range(n + 1)], _exact(x))
 
 
 def alpha_recurrence_check(n_max: int, x) -> IdentityReport:
     """Verify a(n+1) = (2x+1) a(n) - x^2 a(n-1) and b(n) = a(n+1) - x a(n).
 
     Both recurrences are checked against the direct sums for all
-    1 <= n < n_max at the given rational x.
+    1 <= n < n_max at the given rational x; an empty range (n_max < 2)
+    is refused, not reported as a pass.
     """
-    x = Fraction(x)
+    x = _exact(x)
+    if n_max < 2:
+        raise ValueError(f"alpha_recurrence: n in [1, {n_max - 1}] is empty; n_max must be >= 2")
     a = [alpha_sum(n, x) for n in range(n_max + 1)]
     b = [beta_sum(n, x) for n in range(n_max)]
 
@@ -122,7 +127,11 @@ def weighted_sum_check(n_max: int) -> IdentityReport:
     For all 1 <= n <= n_max:
       sum q 2^q C(2n-1-q, q), q=0..n-1  ==  (2/27) ((4^n - 1)(3n - 2) - 3n)
       sum q 2^q C(2n-q, q),   q=0..n    ==  (2/27) ((4^n - 1)(6n - 1) + 12n)
+
+    An empty range (n_max < 1) is refused.
     """
+    if n_max < 1:
+        raise ValueError(f"weighted_sums: n in [1, {n_max}] is empty; n_max must be >= 1")
 
     def failures():
         for n in range(1, n_max + 1):
@@ -165,10 +174,15 @@ def wellknown_check(n_max: int) -> IdentityReport:
 
 
 def identity_suite(n_max: int) -> list:
-    """Every identity check up to n_max, the recurrence at five rational points."""
+    """Every identity check up to n_max, the recurrence at five rational points.
+
+    The recurrence needs n_max >= 2; at n_max = 1 the suite leaves it
+    out rather than report its empty range.
+    """
+    points = (0, 1, 2, -1, Fraction(3, 2)) if n_max >= 2 else ()
     return [
         wellknown_check(n_max),
         x2_specialization_check(n_max),
         weighted_sum_check(n_max),
-        *(alpha_recurrence_check(n_max, x) for x in (0, 1, 2, -1, Fraction(3, 2))),
+        *(alpha_recurrence_check(n_max, x) for x in points),
     ]

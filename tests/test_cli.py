@@ -280,6 +280,12 @@ class TestVerify:
         assert "  c=5: strata MISMATCH" in result.output
         assert "summary: FAILURES (status 6)" in result.output
 
+    def test_no_empty_identity_range_reported(self, runner):
+        result = run(runner, "verify", "--identities", "--max-n", "1")
+        assert result.exit_code == 0
+        assert "[1, 0]" not in result.output
+        assert "alpha_recurrence" not in result.output
+
     def test_identities_only(self, runner):
         result = run(runner, "verify", "--identities", "--max-n", "4")
         assert result.exit_code == 0

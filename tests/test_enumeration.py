@@ -21,6 +21,7 @@ from twobridge import (
 )
 from twobridge import enumeration
 from twobridge.enumeration import (
+    _blocks,
     _orbit_minima,
     _raw_sequences,
     _unit_tables,
@@ -141,6 +142,24 @@ class TestEnumerateSequences:
     def test_non_int_c_named(self, entry):
         with pytest.raises(TypeError, match="crossing number 7.0 is not an int"):
             entry()
+
+
+class TestBlocks:
+    def test_equal_per_sequence_reference(self):
+        # Each sequence written out entry by entry, for b and reversed(b),
+        # over the compositions that are not after their reverse, in order.
+        for c in range(3, 17):
+            for ell, m in strata(c):
+                patterns = _unit_tables(ell, m)[0]
+                want = [
+                    [[tuple(2 * x * s for x, s in zip(mags, p)) for p in patterns]
+                     for mags in (b, b[::-1])] + [b == b[::-1]]
+                    for b in compositions((c + ell) // 2, 2 * m)
+                    if b <= b[::-1]
+                ]
+                got = [[own, mirror, mirror is own]
+                       for own, mirror in _blocks(c, ell, m, patterns)]
+                assert got == want, (c, ell, m)
 
 
 def set_route_classes(c, mode):

@@ -137,3 +137,35 @@ def test_alpha_sum_definition_cross_check(n):
         prev, cur = cur, (2 * x + 1) * cur - x * x * prev
     assert alpha_sum(n, x) == cur
     assert beta_sum(n, x) == (2 * x + 1) * cur - x * x * prev - x * cur
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: alpha_sum(3, 0.1), lambda: beta_sum(3, 0.1), lambda: alpha_recurrence_check(8, 0.1)],
+    ids=["alpha_sum", "beta_sum", "alpha_recurrence_check"],
+)
+def test_float_refused(call):
+    with pytest.raises(TypeError, match=r"^0\.1 is a float; pass a Fraction or an int$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,empty",
+    [
+        (lambda: alpha_recurrence_check(1, 2), r"n in \[1, 0\] is empty"),
+        (lambda: alpha_recurrence_check(0, 2), r"n in \[1, -1\] is empty"),
+        (lambda: weighted_sum_check(0), r"n in \[1, 0\] is empty"),
+    ],
+    ids=["alpha_recurrence_1", "alpha_recurrence_0", "weighted_sums_0"],
+)
+def test_empty_range_refused(call, empty):
+    with pytest.raises(ValueError, match=empty):
+        call()
+
+
+def test_suite_reports_no_empty_range():
+    for n_max in range(1, 5):
+        for report in identity_suite(n_max):
+            assert report.n_range[0] <= report.n_range[1], report
+    assert len(identity_suite(1)) == 3
+    assert len(identity_suite(2)) == 8
