@@ -317,30 +317,26 @@ def cmd_verify(ctx, max_c, max_n, identities_only):
     and 0.71 to 0.79 s at ``--threads 2`` on a shared 2.1 GHz 2-vCPU
     machine with Python 3.11.
     """
-    status = 0
-    click.echo(f"identities (n <= {max_n}):")
-    reports = identities.identity_suite(max_n)
-    for rep in reports:
-        click.echo(f"  {rep}")
-    if not all(rep.passed for rep in reports):
-        status |= 1
+    suites = [(1, f"identities (n <= {max_n}):",
+               [(str(rep), rep.passed) for rep in identities.identity_suite(max_n)])]
     if not identities_only:
         found = tallies(range(3, max_c + 1), ctx.obj["threads"])
-        verdicts = formulas.check_tallies(found)
-        click.echo(f"closed forms vs enumeration (c <= {max_c}, both modes):")
-        for c, (totals_ok, _) in verdicts.items():
+        totals, strata = [], []
+        for c, (totals_ok, strata_ok) in formulas.check_tallies(found).items():
             td, tc = found[c][Mode.MIRROR_DISTINCT], found[c][Mode.MIRROR_COLLAPSED]
-            click.echo(
-                f"  c={c}: distinct {td.knot_count}/{td.total_genus}"
-                f" collapsed {tc.knot_count}/{tc.total_genus} {_ok_text(totals_ok)}"
-            )
-        click.echo(f"stratum closed forms vs enumeration (c <= {max_c}):")
-        for c, (_, strata_ok) in verdicts.items():
-            click.echo(f"  c={c}: strata {_ok_text(strata_ok)}")
-        if not all(totals_ok for totals_ok, _ in verdicts.values()):
-            status |= 2
-        if not all(strata_ok for _, strata_ok in verdicts.values()):
-            status |= 4
+            totals.append((f"c={c}: distinct {td.knot_count}/{td.total_genus}"
+                           f" collapsed {tc.knot_count}/{tc.total_genus} {_ok_text(totals_ok)}",
+                           totals_ok))
+            strata.append((f"c={c}: strata {_ok_text(strata_ok)}", strata_ok))
+        suites += [(2, f"closed forms vs enumeration (c <= {max_c}, both modes):", totals),
+                   (4, f"stratum closed forms vs enumeration (c <= {max_c}):", strata)]
+    status = 0
+    for bit, header, lines in suites:
+        click.echo(header)
+        for line, _ in lines:
+            click.echo(f"  {line}")
+        if not all(passed for _, passed in lines):
+            status |= bit
     click.echo("summary: " + ("all checks passed" if status == 0 else f"FAILURES (status {status})"))
     ctx.exit(status)
 

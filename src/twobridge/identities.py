@@ -81,20 +81,28 @@ def beta_sum(n: int, x) -> Fraction:
     return _poly_at([binom(2 * n - q, q) for q in range(n + 1)], _exact(x))
 
 
+def _report(identity_id: str, n_range: tuple, x_values: tuple, failures) -> IdentityReport:
+    """Run one check over ``n_range`` and report its first failure, if any.
+
+    ``failures`` yields counterexample text and is called only on a
+    nonempty range; an empty one is refused, not reported as a pass.
+    """
+    if n_range[0] > n_range[1]:
+        raise ValueError(f"{identity_id}: n in [{n_range[0]}, {n_range[1]}] is empty")
+    return IdentityReport(identity_id, n_range, x_values, next(failures(), None))
+
+
 def alpha_recurrence_check(n_max: int, x) -> IdentityReport:
     """Verify a(n+1) = (2x+1) a(n) - x^2 a(n-1) and b(n) = a(n+1) - x a(n).
 
     Both recurrences are checked against the direct sums for all
-    1 <= n < n_max at the given rational x; an empty range (n_max < 2)
-    is refused, not reported as a pass.
+    1 <= n < n_max at the given rational x.
     """
     x = _exact(x)
-    if n_max < 2:
-        raise ValueError(f"alpha_recurrence: n in [1, {n_max - 1}] is empty; n_max must be >= 2")
-    a = [alpha_sum(n, x) for n in range(n_max + 1)]
-    b = [beta_sum(n, x) for n in range(n_max)]
 
     def failures():
+        a = [alpha_sum(n, x) for n in range(n_max + 1)]
+        b = [beta_sum(n, x) for n in range(n_max)]
         for n in range(1, n_max):
             lhs = a[n + 1]
             rhs = (2 * x + 1) * a[n] - x * x * a[n - 1]
@@ -103,7 +111,7 @@ def alpha_recurrence_check(n_max: int, x) -> IdentityReport:
             if b[n] != a[n + 1] - x * a[n]:
                 yield f"n={n}: beta {b[n]} != {a[n + 1] - x * a[n]}"
 
-    return IdentityReport("alpha_recurrence", (1, n_max - 1), (x,), next(failures(), None))
+    return _report("alpha_recurrence", (1, n_max - 1), (x,), failures)
 
 
 def x2_specialization_check(n_max: int) -> IdentityReport:
@@ -116,9 +124,7 @@ def x2_specialization_check(n_max: int) -> IdentityReport:
             if beta_sum(n, 2) != Fraction(2 * 4**n + 1, 3):
                 yield f"beta n={n}"
 
-    return IdentityReport(
-        "x2_specialization", (0, n_max), (Fraction(2),), next(failures(), None)
-    )
+    return _report("x2_specialization", (0, n_max), (Fraction(2),), failures)
 
 
 def weighted_sum_check(n_max: int) -> IdentityReport:
@@ -127,11 +133,7 @@ def weighted_sum_check(n_max: int) -> IdentityReport:
     For all 1 <= n <= n_max:
       sum q 2^q C(2n-1-q, q), q=0..n-1  ==  (2/27) ((4^n - 1)(3n - 2) - 3n)
       sum q 2^q C(2n-q, q),   q=0..n    ==  (2/27) ((4^n - 1)(6n - 1) + 12n)
-
-    An empty range (n_max < 1) is refused.
     """
-    if n_max < 1:
-        raise ValueError(f"weighted_sums: n in [1, {n_max}] is empty; n_max must be >= 1")
 
     def failures():
         for n in range(1, n_max + 1):
@@ -142,7 +144,7 @@ def weighted_sum_check(n_max: int) -> IdentityReport:
             if second != Fraction(2, 27) * ((4**n - 1) * (6 * n - 1) + 12 * n):
                 yield f"second, n={n}"
 
-    return IdentityReport("weighted_sums", (1, n_max), (), next(failures(), None))
+    return _report("weighted_sums", (1, n_max), (), failures)
 
 
 def wellknown_check(n_max: int) -> IdentityReport:
@@ -152,9 +154,8 @@ def wellknown_check(n_max: int) -> IdentityReport:
     (for n >= 1), and the weighted row sum n 2^(n-1).
     """
 
-    rows = [[math.comb(n, q) for q in range(n + 1)] for n in range(n_max + 1)]
-
     def failures():
+        rows = [[math.comb(n, q) for q in range(n + 1)] for n in range(n_max + 1)]
         for a, row in enumerate(rows):
             for b in range(a + 1):
                 ab, rb = row[b], rows[b]
@@ -170,14 +171,14 @@ def wellknown_check(n_max: int) -> IdentityReport:
             if sum(map(mul, range(n + 1), row)) != n * 2 ** (n - 1):
                 yield f"weighted row sum, n={n}"
 
-    return IdentityReport("wellknown", (0, n_max), (), next(failures(), None))
+    return _report("wellknown", (0, n_max), (), failures)
 
 
 def identity_suite(n_max: int) -> list:
     """Every identity check up to n_max, the recurrence at five rational points.
 
     The recurrence needs n_max >= 2; at n_max = 1 the suite leaves it
-    out rather than report its empty range.
+    out, since the check refuses its empty range.
     """
     points = (0, 1, 2, -1, Fraction(3, 2)) if n_max >= 2 else ()
     return [
