@@ -70,8 +70,6 @@ def _cell_json(v):
     # Counts can exceed 2^53 for large c, so integers travel as strings.
     if isinstance(v, Fraction):
         return {"num": str(v.numerator), "den": str(v.denominator)}
-    if isinstance(v, bool):
-        return v
     if isinstance(v, int):
         return str(v)
     return v
@@ -311,11 +309,11 @@ def cmd_knot(ctx, text):
 def cmd_verify(ctx, max_c, max_n, identities_only):
     """Run every oracle comparison and print a summary.
 
+    Checks the binomial identities for n up to --max-n, then, unless
+    --identities is given, the closed-form totals in both modes and the
+    per-stratum closed forms against enumeration for c up to --max-c.
     Exit status is a bitmask of failing suites: 1 identities, 2 closed
-    forms vs enumeration, 4 strata.  The full desk-scale sweep is
-    ``verify --max-c 22 --max-n 64``: 0.92 to 1.10 s at ``--threads 1``
-    and 0.71 to 0.79 s at ``--threads 2`` on a shared 2.1 GHz 2-vCPU
-    machine with Python 3.11.
+    forms vs enumeration, 4 strata.
     """
     suites = [(1, f"identities (n <= {max_n}):",
                [(str(rep), rep.passed) for rep in identities.identity_suite(max_n)])]

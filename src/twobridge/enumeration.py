@@ -217,8 +217,13 @@ def tallies(cs, threads: int = 1) -> dict:
     for both modes.  ``threads`` > 1 maps the units of every ``c`` over
     one process pool, with at most one worker per unit and per CPU;
     results are merged in a fixed order, so the outcome is identical to
-    the serial run.
+    the serial run.  A ``threads`` that is not a positive ``int`` is
+    refused before any unit runs.
     """
+    if not isinstance(threads, int) or isinstance(threads, bool):
+        raise TypeError(f"threads {threads!r} is not an int")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, not {threads}")
     cs = list(dict.fromkeys(cs))
     units = [(c, ell, m) for c in cs for ell, m in strata(c)]
     workers = _worker_count(threads, len(units))

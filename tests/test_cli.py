@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from twobridge import Mode, cli, enumerate_classes
+from twobridge import Mode, cli, enumerate_classes, identities
 from twobridge.cli import _emit_rows, main
 
 
@@ -42,6 +42,13 @@ def corrupt_tallies(monkeypatch):
         return found
 
     monkeypatch.setattr(cli, "tallies", tallies)
+
+
+@pytest.fixture
+def corrupt_binom(monkeypatch):
+    """Make C(5, 2) come out as 11, so some identity check fails from n = 3 on."""
+    real = identities.binom
+    monkeypatch.setattr(identities, "binom", lambda n, k: real(n, k) + ((n, k) == (5, 2)))
 
 
 def parse_csv(text):
@@ -279,6 +286,17 @@ class TestVerify:
         assert "  c=5: distinct 5/6 collapsed 2/3 MISMATCH" in result.output
         assert "  c=5: strata MISMATCH" in result.output
         assert "summary: FAILURES (status 6)" in result.output
+
+    def test_identity_failure_sets_identities_bit(self, runner, corrupt_binom):
+        result = run(runner, "verify", "--max-c", "6", "--max-n", "16")
+        assert result.exit_code == 1
+        assert ": fail: " in result.output
+        assert "summary: FAILURES (status 1)" in result.output
+
+    def test_every_suite_failing_sets_every_bit(self, runner, corrupt_binom, corrupt_tallies):
+        result = run(runner, "verify", "--max-c", "6", "--max-n", "16")
+        assert result.exit_code == 7
+        assert "summary: FAILURES (status 7)" in result.output
 
     def test_no_empty_identity_range_reported(self, runner):
         result = run(runner, "verify", "--identities", "--max-n", "1")

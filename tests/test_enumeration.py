@@ -300,6 +300,30 @@ class TestTallies:
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", None)
         assert tallies(range(3, 3), threads=2) == {}
 
+    @pytest.mark.parametrize(
+        "threads,error,named",
+        [
+            (0, ValueError, r"^threads must be >= 1, not 0$"),
+            (-3, ValueError, r"^threads must be >= 1, not -3$"),
+            ("2", TypeError, r"^threads '2' is not an int$"),
+            (None, TypeError, r"^threads None is not an int$"),
+            (2.5, TypeError, r"^threads 2\.5 is not an int$"),
+            (True, TypeError, r"^threads True is not an int$"),
+        ],
+        ids=["zero", "negative", "str", "none", "float", "bool"],
+    )
+    def test_bad_threads_refused_before_any_work(self, monkeypatch, threads, error, named):
+        def refuse(*_, **__):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(enumeration, "_orbit_minima", refuse)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with pytest.raises(error, match=named):
+            tallies([9], threads=threads)
+        with pytest.raises(error, match=named):
+            tally(9, D, threads=threads)
+
 
 class TestWorkerCount:
     def test_huge_request_clamped_to_cpus_and_units(self, monkeypatch):

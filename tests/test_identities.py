@@ -155,8 +155,13 @@ def test_float_refused(call):
         (lambda: alpha_recurrence_check(1, 2), r"n in \[1, 0\] is empty"),
         (lambda: alpha_recurrence_check(0, 2), r"n in \[1, -1\] is empty"),
         (lambda: weighted_sum_check(0), r"n in \[1, 0\] is empty"),
+        (lambda: wellknown_check(-1), r"^wellknown: n in \[0, -1\] is empty"),
+        (lambda: x2_specialization_check(-1), r"^x2_specialization: n in \[0, -1\] is empty"),
     ],
-    ids=["alpha_recurrence_1", "alpha_recurrence_0", "weighted_sums_0"],
+    ids=[
+        "alpha_recurrence_1", "alpha_recurrence_0", "weighted_sums_0", "wellknown_-1",
+        "x2_specialization_-1",
+    ],
 )
 def test_empty_range_refused(call, empty):
     with pytest.raises(ValueError, match=empty):
