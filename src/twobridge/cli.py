@@ -14,18 +14,24 @@ workers than CPUs.  Rationals print as "p/q" in tables and CSV; JSON
 carries them as {"num": "...", "den": "..."} decimal strings, and
 unbounded integer columns as decimal strings, so consumers never face
 64-bit overflow.
+
+Output is written in blocks of about BLOCK_CHARS characters as rows are
+computed: ``formulas`` and ``table1`` in CSV and JSON, and the class
+stream of ``enumerate``, run in memory that does not grow with the row
+count.  A table needs every column width before its first line, so it
+keeps the cell text of all rows.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
+from types import SimpleNamespace
 
 import click
 
@@ -46,10 +52,11 @@ from .knots import Mode, canonicalize, is_amphichiral
 # and each +2 in c costs about 4 times more.
 MAX_ENUM_C = 26
 
-# Lines per write of the class stream: click.echo flushes stdout on every
-# call, and a bounded block keeps memory flat up to MAX_ENUM_C, where
-# mode D has 5.6 million classes.
-ECHO_BLOCK = 4096
+# Characters per write of streamed output: click.echo flushes stdout on
+# every call, and a block bounded in characters, not rows, keeps memory
+# flat both for the short lines of the class stream (5.6 million in mode D
+# at MAX_ENUM_C) and for formula rows, which grow like c digits each.
+BLOCK_CHARS = 1 << 16
 
 FORMULA_COLUMNS = [
     "c", "tk", "tg", "avg_genus", "tk_mirror", "tg_mirror", "avg_genus_mirror",
@@ -93,31 +100,53 @@ def _unbounded_int_text():
         set_limit(old)
 
 
+def _echo_blocks(chunks):
+    """Print an iterable of strings, read once, in writes of about BLOCK_CHARS.
+
+    If drawing a chunk raises, the chunks before it are still printed.
+    """
+    block, size = [], 0
+    try:
+        for chunk in chunks:
+            block.append(chunk)
+            size += len(chunk)
+            if size >= BLOCK_CHARS:
+                text, block, size = "".join(block), [], 0
+                click.echo(text, nl=False)
+    finally:
+        if block:
+            click.echo("".join(block), nl=False)
+
+
+def _json_chunks(rows, columns):
+    # The bytes of json.dumps(list_of_records, indent=2), one record at a
+    # time: JSON escapes newlines in strings, so every newline of a record
+    # is structural and takes the list's extra indent.
+    encode = json.JSONEncoder(indent=2).encode
+    sep = "[\n  "
+    for row in rows:
+        yield sep + encode({k: _cell_json(row.get(k)) for k in columns}).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
 @_unbounded_int_text()
 def _emit_rows(rows, columns, fmt):
+    """Print rows, an iterable of dicts read once, under the given columns."""
     if fmt == "json":
-        click.echo(
-            json.dumps(
-                [{k: _cell_json(row.get(k)) for k in columns} for row in rows],
-                indent=2,
-            )
-        )
+        _echo_blocks(_json_chunks(rows, columns))
         return
-    text = [[_cell_text(row.get(k)) for k in columns] for row in rows]
+    text = ([_cell_text(row.get(k)) for k in columns] for row in rows)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        writer.writerows(text)
-        click.echo(buf.getvalue(), nl=False)
+        # csv.writer returns what its file's write returns: each row's text.
+        writer = csv.writer(SimpleNamespace(write=lambda line: line))
+        _echo_blocks(map(writer.writerow, chain([columns], text)))
         return
-    widths = [
-        max(len(col), *(len(r[i]) for r in text)) if text else len(col)
-        for i, col in enumerate(columns)
-    ]
-    click.echo("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip())
-    for r in text:
-        click.echo("  ".join(v.rjust(w) for v, w in zip(r, widths)).rstrip())
+    text = list(text)
+    widths = [max(map(len, cells)) for cells in zip(columns, *text)]
+    lines = chain(["  ".join(map(str.ljust, columns, widths))],
+                  ("  ".join(map(str.rjust, r, widths)) for r in text))
+    _echo_blocks(line.rstrip() + "\n" for line in lines)
 
 
 @_unbounded_int_text()
@@ -200,7 +229,7 @@ def _formula_row(c: int) -> dict:
 @click.pass_context
 def cmd_formulas(ctx, max_c):
     """Closed-form counts, total genera and average genera per row."""
-    rows = [_formula_row(c) for c in range(3, max_c + 1)]
+    rows = map(_formula_row, range(3, max_c + 1))
     _emit_rows(rows, FORMULA_COLUMNS, ctx.obj["fmt"])
 
 
@@ -223,8 +252,8 @@ def cmd_table1(ctx, max_c, cutoff):
     """
     checked = tallies(range(3, min(max_c, cutoff) + 1), ctx.obj["threads"])
     totals_ok = {c: ok for c, (ok, _) in formulas.check_tallies(checked).items()}
-    rows = []
-    for c in range(3, max_c + 1):
+
+    def table_row(c):
         row = _formula_row(c)
         if c in checked:  # rows past the cutoff leave the enumeration columns blank
             td, tc = checked[c][Mode.MIRROR_DISTINCT], checked[c][Mode.MIRROR_COLLAPSED]
@@ -235,7 +264,9 @@ def cmd_table1(ctx, max_c, cutoff):
                 enum_tg_mirror=tc.total_genus,
                 match=_ok_text(totals_ok[c]),
             )
-        rows.append(row)
+        return row
+
+    rows = map(table_row, range(3, max_c + 1))
     columns = FORMULA_COLUMNS + [
         "enum_tk", "enum_tg", "enum_tk_mirror", "enum_tg_mirror", "match",
     ]
@@ -261,9 +292,7 @@ def cmd_enumerate(ctx, crossings, mode):
     fmt = ctx.obj["fmt"]
     if fmt == "table":
         click.echo(f"c={crossings} mode={mode}")
-        lines = (kc.canonical.to_text() for kc in enumerate_classes(crossings, m))
-        while block := list(islice(lines, ECHO_BLOCK)):
-            click.echo("\n".join(block))
+        _echo_blocks(kc.canonical.to_text() + "\n" for kc in enumerate_classes(crossings, m))
         return
     t = tallies([crossings], ctx.obj["threads"])[crossings][m]
     gmax = (crossings - 1) // 2

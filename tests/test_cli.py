@@ -4,12 +4,13 @@ import dataclasses
 import io
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from twobridge import Mode, cli, enumerate_classes, identities
+from twobridge import Mode, cli, enumerate_classes, formulas, identities
 from twobridge.cli import _emit_rows, main
 
 
@@ -79,6 +80,170 @@ def csv_value(cell):
         return int(cell)
     except ValueError:
         return cell
+
+
+FORMATS = ["table", "csv", "json"]
+
+
+def reference_output(rows, columns, fmt):
+    """What _emit_rows prints for a row list, built in one piece."""
+    if fmt == "json":
+        records = [{k: cli._cell_json(r.get(k)) for k in columns} for r in rows]
+        return json.dumps(records, indent=2) + "\n"
+    text = [[cli._cell_text(r.get(k)) for k in columns] for r in rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([columns, *text])
+        return buf.getvalue()
+    widths = [max(len(r[i]) for r in [columns, *text]) for i in range(len(columns))]
+    lines = ["  ".join(v.ljust(w) for v, w in zip(columns, widths))]
+    lines += ["  ".join(v.rjust(w) for v, w in zip(r, widths)) for r in text]
+    return "".join(line.rstrip() + "\n" for line in lines)
+
+
+def second_row_end(text, fmt):
+    """Offset where the second streamed piece of an emitted document ends.
+
+    The pieces are the CSV or table header and each row, or each JSON
+    record with the separator before it.
+    """
+    if fmt == "json":
+        return text.index(",\n  {", text.index(",\n  {") + 1)
+    nl = "\r\n" if fmt == "csv" else "\n"
+    return text.index(nl, text.index(nl) + 1) + len(nl)
+
+
+class _CountingSink(io.RawIOBase):
+    def __init__(self):
+        self.bytes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.bytes += len(b)
+        return len(b)
+
+
+class TestEmitRows:
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        """Record the rows each command passes to _emit_rows, and every write.
+
+        The real emitter still prints the rows, from a one-shot iterator.
+        """
+        seen = {"rows": [], "writes": []}
+        real_emit, real_echo = cli._emit_rows, cli.click.echo
+
+        def emit(rows, columns, fmt):
+            rows = list(rows)
+            seen["rows"].append((rows, columns))
+            real_emit(iter(rows), columns, fmt)
+
+        def echo(message=None, **kwargs):
+            seen["writes"].append(message)
+            real_echo(message, **kwargs)
+
+        monkeypatch.setattr(cli, "_emit_rows", emit)
+        monkeypatch.setattr(cli.click, "echo", echo)
+        return seen
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("max_c", [12, 300], ids=["one_block", "many_blocks"])
+    @pytest.mark.parametrize("command", [["formulas"], ["table1", "--cutoff", "8"]],
+                             ids=["formulas", "table1"])
+    def test_commands_equal_reference(self, runner, emitted, command, max_c, fmt):
+        result = run(runner, "--format", fmt, *command, "--max-c", str(max_c))
+        assert result.exit_code == 0
+        [(rows, columns)] = emitted["rows"]
+        assert len(rows) == max_c - 2
+        want = reference_output(rows, columns, fmt)
+        assert result.stdout_bytes.decode() == want
+        assert (len(emitted["writes"]) > 1) == (len(want) > cli.BLOCK_CHARS)
+        assert max(map(len, emitted["writes"])) < 2 * cli.BLOCK_CHARS
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("shift", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_block_boundary_at_a_row_end(self, runner, emitted, monkeypatch, fmt, shift):
+        args = ["--format", fmt, "formulas", "--max-c", "12"]
+        want = run(runner, *args).stdout_bytes.decode()
+        emitted["writes"].clear()
+        end = second_row_end(want, fmt)
+        monkeypatch.setattr(cli, "BLOCK_CHARS", end + shift)
+        assert run(runner, *args).stdout_bytes.decode() == want
+        first = len(emitted["writes"][0])
+        assert first == end if shift <= 0 else first > end
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_no_rows(self, capsys, fmt):
+        columns = ["c", "tk"]
+        _emit_rows(iter(()), columns, fmt)
+        out = capsys.readouterr().out
+        assert out == reference_output([], columns, fmt)
+        assert out == {"json": "[]\n", "csv": "c,tk\r\n", "table": "c  tk\n"}[fmt]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_one_shot_generator_streamed(self, fmt):
+        raw = io.BytesIO()
+        text = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
+        cs = range(3, 301)
+        written_before_last = []
+
+        def rows():
+            for c in cs:
+                if c == cs[-1]:
+                    written_before_last.append(len(raw.getvalue()))
+                yield cli._formula_row(c)
+
+        with contextlib.redirect_stdout(text):
+            _emit_rows(rows(), cli.FORMULA_COLUMNS, fmt)
+            text.flush()
+        want = reference_output(list(map(cli._formula_row, cs)), cli.FORMULA_COLUMNS, fmt)
+        assert raw.getvalue().decode() == want
+        # A table needs every column width first; CSV and JSON do not wait.
+        assert (written_before_last[0] >= cli.BLOCK_CHARS) == (fmt != "table")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_formulas_memory_below_half_the_output(self, fmt):
+        # In process, as perfbench/layers.run_cli runs the CLI.  Holding
+        # the rows or the document costs several times the output size.
+        sink = _CountingSink()
+        text = io.TextIOWrapper(sink, encoding="utf-8", newline="\n")
+        args = ["--format", fmt, "formulas", "--max-c", "1500"]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(text):
+                main.main(args, prog_name="twobridge", standalone_mode=False)
+                text.flush()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.bytes > 1_000_000
+        assert peak < sink.bytes / 2, (peak, sink.bytes)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_failure_mid_stream_leaves_a_prefix(self, runner, monkeypatch, fmt):
+        args = ["--format", fmt, "formulas", "--max-c", "60"]
+        full = run(runner, *args).stdout_bytes.decode()
+        real = formulas.tg_closed
+
+        def tg_closed(c):
+            if c == 50:
+                raise formulas.BranchMismatch("c=50: injected")
+            return real(c)
+
+        monkeypatch.setattr(formulas, "tg_closed", tg_closed)
+        result = runner.invoke(main, args)
+        assert result.exit_code != 0
+        assert isinstance(result.exception, formulas.BranchMismatch)
+        out = result.stdout_bytes.decode()
+        assert full.startswith(out) and out != full
+        if fmt == "table":  # nothing is printed before every width is known
+            assert out == ""
+        elif fmt == "csv":
+            assert [r["c"] for r in parse_csv(out)] == [str(c) for c in range(3, 50)]
+        else:
+            assert out.endswith("}") and '"c": "49"' in out and '"c": "50"' not in out
 
 
 class TestKnot:
@@ -184,7 +349,7 @@ class TestEnumerate:
             kc.canonical.to_text() + "\n" for kc in enumerate_classes(16, Mode(mode))
         )
         if mode == "D":
-            assert want.count("\n") > cli.ECHO_BLOCK + 1
+            assert len(want) > cli.BLOCK_CHARS
         args = ["enumerate", "--crossings", "16", "--mode", mode]
         assert run(runner, *args).output == want
         # In process, as a caller that swaps sys.stdout for a text wrapper.
