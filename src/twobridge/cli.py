@@ -16,10 +16,12 @@ unbounded integer columns as decimal strings, so consumers never face
 64-bit overflow.
 
 Output is written in blocks of about BLOCK_CHARS characters as rows are
-computed: ``formulas`` and ``table1`` in CSV and JSON, and the class
+computed: ``formulas`` and ``table1`` in every format, and the class
 stream of ``enumerate``, run in memory that does not grow with the row
 count.  A table needs every column width before its first line, so it
-keeps the cell text of all rows.
+computes its rows twice, once for the widths and once to print, instead
+of keeping them.  The process pool module loads only when ``--threads``
+above 1 starts a pool.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from types import SimpleNamespace
 
@@ -132,20 +135,28 @@ def _json_chunks(rows, columns):
 
 @_unbounded_int_text()
 def _emit_rows(rows, columns, fmt):
-    """Print rows, an iterable of dicts read once, under the given columns."""
+    """Print the rows of ``rows()``, an iterable of dicts, under the given columns.
+
+    ``rows`` is called once for CSV and JSON.  A table calls it twice: the
+    first pass keeps only the column widths, the second prints, so a row
+    that raises leaves a table unprinted.
+    """
+    def text():
+        return ([_cell_text(row.get(k)) for k in columns] for row in rows())
+
     if fmt == "json":
-        _echo_blocks(_json_chunks(rows, columns))
+        _echo_blocks(_json_chunks(rows(), columns))
         return
-    text = ([_cell_text(row.get(k)) for k in columns] for row in rows)
     if fmt == "csv":
         # csv.writer returns what its file's write returns: each row's text.
         writer = csv.writer(SimpleNamespace(write=lambda line: line))
-        _echo_blocks(map(writer.writerow, chain([columns], text)))
+        _echo_blocks(map(writer.writerow, chain([columns], text())))
         return
-    text = list(text)
-    widths = [max(map(len, cells)) for cells in zip(columns, *text)]
+    widths = list(map(len, columns))
+    for cells in text():
+        widths = list(map(max, widths, map(len, cells)))
     lines = chain(["  ".join(map(str.ljust, columns, widths))],
-                  ("  ".join(map(str.rjust, r, widths)) for r in text))
+                  ("  ".join(map(str.rjust, r, widths)) for r in text()))
     _echo_blocks(line.rstrip() + "\n" for line in lines)
 
 
@@ -164,7 +175,7 @@ def _emit_record(row, fmt, text_ints=()):
         }
         click.echo(json.dumps(record, indent=2))
     elif fmt == "csv":
-        _emit_rows([row], list(row), fmt)
+        _emit_rows(lambda: [row], list(row), fmt)
     else:
         width = max(map(len, row))
         for k, v in row.items():
@@ -212,14 +223,18 @@ def main(ctx, fmt, threads):
 
 
 def _formula_row(c: int) -> dict:
+    # Each closed form once: the averages reuse the totals (see formulas.avg_genus).
+    tk, tg = formulas.tk_closed(c), formulas.tg_closed(c)
+    tk_mirror, tg_mirror = formulas.tk_mirror_closed(c), formulas.tg_mirror_closed(c)
     return {
         "c": c,
-        "tk": formulas.tk_closed(c),
-        "tg": formulas.tg_closed(c),
-        "avg_genus": formulas.avg_genus(c),
-        "tk_mirror": formulas.tk_mirror_closed(c),
-        "tg_mirror": formulas.tg_mirror_closed(c),
-        "avg_genus_mirror": formulas.avg_genus_mirror(c),
+        "tk": tk,
+        "tg": tg,
+        "avg_genus": formulas._average(c, tg, tk, formulas.correction(c)),
+        "tk_mirror": tk_mirror,
+        "tg_mirror": tg_mirror,
+        "avg_genus_mirror": formulas._average(
+            c, tg_mirror, tk_mirror, formulas.correction_mirror(c)),
     }
 
 
@@ -229,7 +244,7 @@ def _formula_row(c: int) -> dict:
 @click.pass_context
 def cmd_formulas(ctx, max_c):
     """Closed-form counts, total genera and average genera per row."""
-    rows = map(_formula_row, range(3, max_c + 1))
+    rows = partial(map, _formula_row, range(3, max_c + 1))
     _emit_rows(rows, FORMULA_COLUMNS, ctx.obj["fmt"])
 
 
@@ -266,7 +281,7 @@ def cmd_table1(ctx, max_c, cutoff):
             )
         return row
 
-    rows = map(table_row, range(3, max_c + 1))
+    rows = partial(map, table_row, range(3, max_c + 1))
     columns = FORMULA_COLUMNS + [
         "enum_tk", "enum_tg", "enum_tk_mirror", "enum_tg_mirror", "match",
     ]

@@ -12,14 +12,26 @@ which serve as the oracle for every closed form in
 
 from __future__ import annotations
 
+import importlib
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import comb
 from operator import and_, le, mul
 
 from .contfrac import EvenSequence
 from .knots import KnotClass, Mode, _require_c, _require_mode
+
+
+def __getattr__(name: str):
+    # PEP 562, as in concurrent.futures: the pool class, and multiprocessing
+    # with it, loads on first use, so a process that starts no pool never
+    # imports it.  tallies reads the class from the module, so a caller may
+    # replace it.  importlib, because no module here imports in a function.
+    if name == "ProcessPoolExecutor":
+        return importlib.import_module("concurrent.futures").ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def compositions(total: int, parts: int):
@@ -210,15 +222,22 @@ def _worker_count(threads: int, units: int) -> int:
     return min(threads, units, os.cpu_count() or 1)
 
 
+def _unit_size(unit: tuple) -> int:
+    # Sequences in a (c, ell, m) unit, up to the factor 2 of the leading
+    # sign: compositions of (c + ell)/2 into 2m parts times change positions.
+    c, ell, m = unit
+    return comb((c + ell) // 2 - 1, 2 * m - 1) * comb(2 * m - 1, ell)
+
+
 def tallies(cs, threads: int = 1) -> dict:
     """Count knot classes for every crossing number in ``cs``, in both modes.
 
     Returns ``{c: {Mode: Tally}}``.  Each (ell, m) unit is walked once
     for both modes.  ``threads`` > 1 maps the units of every ``c`` over
-    one process pool, with at most one worker per unit and per CPU;
-    results are merged in a fixed order, so the outcome is identical to
-    the serial run.  A ``threads`` that is not a positive ``int`` is
-    refused before any unit runs.
+    one process pool, with at most one worker per unit and per CPU,
+    largest units first and a few to a task; results are merged in unit
+    order, so the outcome is identical to the serial run.  A ``threads``
+    that is not a positive ``int`` is refused before any unit runs.
     """
     if not isinstance(threads, int) or isinstance(threads, bool):
         raise TypeError(f"threads {threads!r} is not an int")
@@ -228,8 +247,12 @@ def tallies(cs, threads: int = 1) -> dict:
     units = [(c, ell, m) for c in cs for ell, m in strata(c)]
     workers = _worker_count(threads, len(units))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            minima = list(pool.map(_orbit_minima, *zip(*units)))
+        # The largest units first, so no worker starts one late and runs alone.
+        order = sorted(units, key=_unit_size, reverse=True)
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+            done = dict(zip(order, pool.map(_orbit_minima, *zip(*order),
+                                            chunksize=max(1, len(units) // (8 * workers)))))
+        minima = [done[unit] for unit in units]
     else:
         minima = [_orbit_minima(*unit) for unit in units]
 

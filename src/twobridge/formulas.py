@@ -48,19 +48,19 @@ def tk_closed(c: int) -> int:
     """Number of 2-bridge knots with crossing number c, mirrors distinct."""
     _require_c(c)
     if c % 2 == 0:
-        return _exact_div(2 ** (c - 2) - 1, 3)
+        return _exact_div((1 << (c - 2)) - 1, 3)
     if c % 4 == 1:
-        return _exact_div(2 ** (c - 2) + 2 ** ((c - 1) // 2), 3)
-    return _exact_div(2 ** (c - 2) + 2 ** ((c - 1) // 2) + 2, 3)
+        return _exact_div((1 << (c - 2)) + (1 << ((c - 1) // 2)), 3)
+    return _exact_div((1 << (c - 2)) + (1 << ((c - 1) // 2)) + 2, 3)
 
 
 def tg_closed(c: int) -> int:
     """Total genus of all 2-bridge knots with crossing number c, mirrors distinct."""
     _require_c(c)
-    lead = (3 * c + 1) * 2 ** (c - 2)
+    lead = (3 * c + 1) << (c - 2)
     if c % 2 == 0:
         return _exact_div(lead - 16, 36)
-    mid = (3 * c + 5) * 2 ** ((c - 1) // 2)
+    mid = (3 * c + 5) << ((c - 1) // 2)
     if c % 4 == 1:
         return _exact_div(lead + mid + 8, 36)
     return _exact_div(lead + mid + 24, 36)
@@ -71,12 +71,12 @@ def tk_mirror_closed(c: int) -> int:
     _require_c(c)
     r = c % 4
     if r == 0:
-        return _exact_div(2 ** (c - 3) + 2 ** ((c - 4) // 2), 3)
+        return _exact_div((1 << (c - 3)) + (1 << ((c - 4) // 2)), 3)
     if r == 1:
-        return _exact_div(2 ** (c - 3) + 2 ** ((c - 3) // 2), 3)
+        return _exact_div((1 << (c - 3)) + (1 << ((c - 3) // 2)), 3)
     if r == 2:
-        return _exact_div(2 ** (c - 3) + 2 ** ((c - 4) // 2) - 1, 3)
-    return _exact_div(2 ** (c - 3) + 2 ** ((c - 3) // 2) + 1, 3)
+        return _exact_div((1 << (c - 3)) + (1 << ((c - 4) // 2)) - 1, 3)
+    return _exact_div((1 << (c - 3)) + (1 << ((c - 3) // 2)) + 1, 3)
 
 
 def tg_mirror_closed(c: int) -> int:
@@ -87,26 +87,26 @@ def tg_mirror_closed(c: int) -> int:
     """
     _require_c(c)
     r = c % 4
-    lead = (3 * c + 1) * 2 ** (c - 2)
+    lead = (3 * c + 1) << (c - 2)
     if r == 0:
-        return _exact_div(lead + (3 * c + 2) * 2 ** ((c - 2) // 2) - 8, 72)
+        return _exact_div(lead + ((3 * c + 2) << ((c - 2) // 2)) - 8, 72)
     if r == 1:
-        return _exact_div(lead + (3 * c + 5) * 2 ** ((c - 1) // 2) + 8, 72)
+        return _exact_div(lead + ((3 * c + 5) << ((c - 1) // 2)) + 8, 72)
     if r == 2:
-        return _exact_div(lead + (3 * c + 2) * 2 ** ((c - 2) // 2) - 24, 72)
-    return _exact_div(lead + (3 * c + 5) * 2 ** ((c - 1) // 2) + 24, 72)
+        return _exact_div(lead + ((3 * c + 2) << ((c - 2) // 2)) - 24, 72)
+    return _exact_div(lead + ((3 * c + 5) << ((c - 1) // 2)) + 24, 72)
 
 
 def correction(c: int) -> Fraction:
     """The exponentially small term in the mirror-distinct average genus."""
     _require_c(c)
     if c % 2 == 0:
-        return Fraction(c - 5, 2**c - 4)
+        return Fraction(c - 5, (1 << c) - 4)
     if c % 4 == 1:
-        return Fraction(1, 3 * 2 ** ((c - 3) // 2))
+        return Fraction(1, 3 * (1 << ((c - 3) // 2)))
     return Fraction(
-        2 ** ((c + 1) // 2) - 3 * c + 11,
-        12 * (2 ** (c - 3) + 2 ** ((c - 3) // 2) + 1),
+        (1 << ((c + 1) // 2)) - 3 * c + 11,
+        12 * ((1 << (c - 3)) + (1 << ((c - 3) // 2)) + 1),
     )
 
 
@@ -115,22 +115,26 @@ def correction_mirror(c: int) -> Fraction:
     _require_c(c)
     r = c % 4
     if r == 0:
-        return Fraction(2 ** ((c - 4) // 2) - 4, 3 * (2 ** (c - 1) + 2 ** (c // 2)))
+        return Fraction((1 << ((c - 4) // 2)) - 4, 3 * ((1 << (c - 1)) + (1 << (c // 2))))
     if r == 2:
         return Fraction(
-            2 ** ((c - 4) // 2) + 3 * c - 11,
-            12 * (2 ** (c - 3) + 2 ** ((c - 4) // 2) - 1),
+            (1 << ((c - 4) // 2)) + 3 * c - 11,
+            12 * ((1 << (c - 3)) + (1 << ((c - 4) // 2)) - 1),
         )
     return correction(c)
 
 
 def _average(c: int, tg: int, tk: int, corr: Fraction) -> Fraction:
-    # Total genus over knot count must equal the piecewise form c/4 + 1/12 + corr.
-    via_totals = Fraction(tg, tk)
-    piecewise = Fraction(c, 4) + Fraction(1, 12) + corr
-    if via_totals != piecewise:
-        raise BranchMismatch(f"c={c}: {via_totals} != {piecewise}")
-    return via_totals
+    """tg/tk, checked against the piecewise form c/4 + 1/12 + corr.
+
+    With corr = p/q the two agree iff tg·12q = tk·((3c + 1)q + 12p), an
+    integer test; Fractions are built only for the result and the error.
+    """
+    p, q = corr.numerator, corr.denominator
+    if tg * 12 * q != tk * ((3 * c + 1) * q + 12 * p):
+        piecewise = Fraction(c, 4) + Fraction(1, 12) + corr
+        raise BranchMismatch(f"c={c}: {Fraction(tg, tk)} != {piecewise}")
+    return Fraction(tg, tk)
 
 
 def avg_genus(c: int) -> Fraction:

@@ -128,17 +128,17 @@ class _CountingSink(io.RawIOBase):
 class TestEmitRows:
     @pytest.fixture
     def emitted(self, monkeypatch):
-        """Record the rows each command passes to _emit_rows, and every write.
+        """Record the rows each command's row source yields, and every write.
 
-        The real emitter still prints the rows, from a one-shot iterator.
+        The real emitter still prints the rows, from a fresh iterator per pass.
         """
         seen = {"rows": [], "writes": []}
         real_emit, real_echo = cli._emit_rows, cli.click.echo
 
         def emit(rows, columns, fmt):
-            rows = list(rows)
-            seen["rows"].append((rows, columns))
-            real_emit(iter(rows), columns, fmt)
+            listed = list(rows())
+            seen["rows"].append((listed, columns))
+            real_emit(lambda: iter(listed), columns, fmt)
 
         def echo(message=None, **kwargs):
             seen["writes"].append(message)
@@ -177,7 +177,7 @@ class TestEmitRows:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_no_rows(self, capsys, fmt):
         columns = ["c", "tk"]
-        _emit_rows(iter(()), columns, fmt)
+        _emit_rows(lambda: iter(()), columns, fmt)
         out = capsys.readouterr().out
         assert out == reference_output([], columns, fmt)
         assert out == {"json": "[]\n", "csv": "c,tk\r\n", "table": "c  tk\n"}[fmt]
@@ -196,14 +196,17 @@ class TestEmitRows:
                 yield cli._formula_row(c)
 
         with contextlib.redirect_stdout(text):
-            _emit_rows(rows(), cli.FORMULA_COLUMNS, fmt)
+            _emit_rows(rows, cli.FORMULA_COLUMNS, fmt)
             text.flush()
         want = reference_output(list(map(cli._formula_row, cs)), cli.FORMULA_COLUMNS, fmt)
         assert raw.getvalue().decode() == want
         # A table needs every column width first; CSV and JSON do not wait.
         assert (written_before_last[0] >= cli.BLOCK_CHARS) == (fmt != "table")
+        # A table reads its rows twice, printing as it goes the second time.
+        assert len(written_before_last) == (2 if fmt == "table" else 1)
+        assert written_before_last[-1] >= cli.BLOCK_CHARS
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_formulas_memory_below_half_the_output(self, fmt):
         # In process, as perfbench/layers.run_cli runs the CLI.  Holding
         # the rows or the document costs several times the output size.
@@ -295,7 +298,8 @@ class TestLongIntegers:
     def test_rows_over_5000_digits(self, capsys, fmt):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         big = 10**5000
-        _emit_rows([{"c": 3, "tk": big, "avg": Fraction(big + 1, 3)}], ["c", "tk", "avg"], fmt)
+        row = {"c": 3, "tk": big, "avg": Fraction(big + 1, 3)}
+        _emit_rows(lambda: [row], ["c", "tk", "avg"], fmt)
         out = capsys.readouterr().out
         num = self.DIGITS[:-1] + "1"
         if fmt == "json":

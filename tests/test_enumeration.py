@@ -1,7 +1,11 @@
+import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +286,48 @@ class TestTallies:
 
     def test_parallel_equals_serial(self):
         assert tallies(range(3, 15), threads=2) == tallies(range(3, 15), threads=1)
+
+    def test_pool_module_loads_only_with_a_pool(self):
+        # In a fresh interpreter: this process may have loaded it already.
+        code = (
+            "import json, sys\n"
+            "import twobridge.cli\n"
+            "from twobridge.enumeration import tallies\n"
+            "loaded = lambda: [m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules]\n"
+            "before = loaded()\n"
+            "same = tallies(range(3, 15), threads=2) == tallies(range(3, 15))\n"
+            "print(json.dumps([before, same, loaded()]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(enumeration.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        before, same, after = json.loads(out)
+        assert before == [] and same
+        # A pool starts only with two CPUs to run it.
+        assert after == (["concurrent.futures", "multiprocessing"]
+                         if (os.cpu_count() or 1) > 1 else [])
+
+    def test_pool_takes_units_largest_first(self, monkeypatch):
+        handed = []
+
+        class RecordingPool(enumeration.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1):
+                units = list(zip(*iterables))
+                handed.append((units, chunksize))
+                return super().map(fn, *zip(*units), chunksize=chunksize)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cs = range(3, 19)
+        assert tallies(cs, threads=2) == tallies(cs)
+        [(units, chunksize)] = handed
+        assert sorted(units) == sorted((c, ell, m) for c in cs for ell, m in strata(c))
+        sizes = [len(list(compositions((c + ell) // 2, 2 * m)))
+                 * len(list(sign_patterns(2 * m, ell))) for c, ell, m in units]
+        assert sizes == sorted(sizes, reverse=True)
+        assert chunksize == len(units) // 16 > 1
 
     def test_one_pool_per_call(self, monkeypatch):
         started = []

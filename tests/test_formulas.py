@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from twobridge import (
     Mode,
@@ -22,8 +23,9 @@ from twobridge import (
     tk_closed,
     tk_mirror_closed,
 )
-from twobridge import formulas
+from twobridge import cli, formulas
 from twobridge.formulas import (
+    BranchMismatch,
     InexactDivision,
     NonIntegerResult,
     _as_int,
@@ -224,6 +226,32 @@ class TestSentinels:
         with pytest.raises(NonIntegerResult):
             _as_int(Fraction(1, 2))
         assert _as_int(Fraction(4, 2)) == 2
+
+    # A corrupted term, and for each average the crossing numbers it reaches:
+    # correction_mirror(c) is correction(c) at odd c.
+    MUTANTS = {
+        "correction": (lambda real: lambda c: real(c) + Fraction(1, 10**9),
+                       {"avg_genus": range(3, 21), "avg_genus_mirror": range(3, 21, 2)}),
+        "tk_closed": (lambda real: lambda c: real(c) + 1, {"avg_genus": range(3, 21)}),
+        "tg_mirror_closed": (lambda real: lambda c: real(c) - 1,
+                             {"avg_genus_mirror": range(3, 21)}),
+    }
+
+    @pytest.mark.parametrize("name", MUTANTS)
+    def test_corrupted_term_raises_branch_mismatch(self, monkeypatch, name):
+        corrupt, reached = self.MUTANTS[name]
+        monkeypatch.setattr(formulas, name, corrupt(getattr(formulas, name)))
+        for average in ("avg_genus", "avg_genus_mirror"):
+            for c in range(3, 21):
+                if c in reached.get(average, ()):
+                    with pytest.raises(BranchMismatch, match=f"^c={c}: "):
+                        getattr(formulas, average)(c)
+                else:
+                    getattr(formulas, average)(c)
+        # The CLI reuses each row's totals for its averages, and checks them too.
+        result = CliRunner().invoke(cli.main, ["formulas", "--max-c", "20"])
+        assert isinstance(result.exception, BranchMismatch) and result.exit_code != 0
+        assert result.stdout_bytes == b""  # a table prints nothing on a failed row
 
 
 @pytest.fixture(scope="module")

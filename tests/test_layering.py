@@ -27,6 +27,22 @@ def sibling_imports(tree):
                 for alias in node.names
                 if alias.name.split(".")[0] == "twobridge"
             ]
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            in ("import_module", "__import__")
+        ):
+            # importlib.import_module("twobridge.x") or (".x", "twobridge"),
+            # anywhere in the module: a dynamic import is an import too.
+            target = getattr(node.args[0], "value", None) if node.args else None
+            if not isinstance(target, str):
+                names = ["<not a literal>"]
+            elif target.startswith("."):
+                names = [target.lstrip(".").split(".")[0]]
+            elif target.split(".")[0] == "twobridge":
+                names = [(target.split(".") + ["twobridge"])[1]]
+            else:
+                continue
         else:
             continue
         for name in names:
