@@ -10,18 +10,21 @@ Usage:
 Global flags: ``--format table|csv|json`` and ``--threads T`` (T may be
 "auto"; the TWOBRIDGE_THREADS environment variable overrides the
 default).  A command starts at most one process pool, with no more
-workers than CPUs.  Rationals print as "p/q" in tables and CSV; JSON
-carries them as {"num": "...", "den": "..."} decimal strings, and
-unbounded integer columns as decimal strings, so consumers never face
-64-bit overflow.
+workers than the CPUs the process may run on.  Rationals print as "p/q"
+in tables and CSV; JSON carries them as {"num": "...", "den": "..."}
+decimal strings, and unbounded integer columns as decimal strings, so
+consumers never face 64-bit overflow.
 
 Output is written in blocks of about BLOCK_CHARS characters as rows are
 computed: ``formulas`` and ``table1`` in every format, and the class
 stream of ``enumerate``, run in memory that does not grow with the row
-count.  A table needs every column width before its first line, so it
-computes its rows twice, once for the widths and once to print, instead
-of keeping them.  The process pool module loads only when ``--threads``
-above 1 starts a pool.
+count.  JSON records are laid out here with the bytes of
+``json.dumps(rows, indent=2)``, since the encoder runs in pure Python
+once given an indent.  A table needs every column width before its
+first line, so it computes its rows twice, once for the widths and once
+to print, instead of keeping them; the width pass converts no value to
+text.  The process pool module loads only when ``--threads`` above 1
+starts a pool.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from types import SimpleNamespace
 
@@ -47,7 +49,7 @@ from .contfrac import (
     genus,
     sign_changes,
 )
-from .enumeration import enumerate_classes, tallies
+from .enumeration import _cpu_count, enumerate_classes, tallies
 from .knots import Mode, canonicalize, is_amphichiral
 
 # Largest crossing number a command enumerates, a work budget:
@@ -76,13 +78,58 @@ def _cell_text(v) -> str:
     return str(v)
 
 
+# log10(2) cut to 40 decimals, so k * _LOG10_2 // _LOG10_2_SCALE is
+# floor(k log10 2) for every bit length k < 2^64: the cut loses under 2e-21
+# there, and the convergents of log10 2 show that k log10 2 stays over
+# 2e-20 from every integer for 0 < k < 2^64.
+_LOG10_2 = 3010299956639811952137388947244930267681
+_LOG10_2_SCALE = 10**40
+
+
+@lru_cache(maxsize=64)
+def _pow10(e: int) -> int:
+    # Bounded, so memory does not grow with c: the values of a column grow
+    # by a digit every few rows, and a row mostly meets the last rows' powers.
+    return 10**e
+
+
+def _int_text_len(n: int) -> int:
+    """len(str(n)), from the bit length and one power of ten, with no text."""
+    a = abs(n)
+    # 2^(b-1) <= a < 2^b has e = floor((b-1) log10 2) + 1 digits or e + 1.
+    e = max(a.bit_length() - 1, 0) * _LOG10_2 // _LOG10_2_SCALE + 1
+    return (n < 0) + e + (a >= _pow10(e))
+
+
+def _cell_text_len(v) -> int:
+    """len(_cell_text(v)); ints and Fractions are not converted to text."""
+    if type(v) is int:
+        return _int_text_len(v)
+    if type(v) is Fraction:
+        return _int_text_len(v.numerator) + 1 + _int_text_len(v.denominator)
+    return len(_cell_text(v))
+
+
 def _cell_json(v):
     # Counts can exceed 2^53 for large c, so integers travel as strings.
     if isinstance(v, Fraction):
         return {"num": str(v.numerator), "den": str(v.denominator)}
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return str(v)
     return v
+
+
+def _json_field(v) -> str:
+    """``_cell_json(v)`` as json.dumps(..., indent=2) prints it in a list's record."""
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return f'"{v}"'
+    if isinstance(v, Fraction):
+        return f'{{\n      "num": "{v.numerator}",\n      "den": "{v.denominator}"\n    }}'
+    return json.dumps(v)  # no indent, so the C encoder quotes strings
 
 
 @contextlib.contextmanager
@@ -123,12 +170,14 @@ def _echo_blocks(chunks):
 
 def _json_chunks(rows, columns):
     # The bytes of json.dumps(list_of_records, indent=2), one record at a
-    # time: JSON escapes newlines in strings, so every newline of a record
-    # is structural and takes the list's extra indent.
-    encode = json.JSONEncoder(indent=2).encode
+    # time, laid out here: json.JSONEncoder runs in pure Python when given
+    # an indent, and only keys and strings need its quoting.
+    keys = [json.dumps(k) + ": " for k in columns]
+    head, tail = ("{\n    ", "\n  }") if columns else ("{", "}")
     sep = "[\n  "
     for row in rows:
-        yield sep + encode({k: _cell_json(row.get(k)) for k in columns}).replace("\n", "\n  ")
+        fields = map(_json_field, map(row.get, columns))
+        yield sep + head + ",\n    ".join(map(str.__add__, keys, fields)) + tail
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
@@ -153,8 +202,8 @@ def _emit_rows(rows, columns, fmt):
         _echo_blocks(map(writer.writerow, chain([columns], text())))
         return
     widths = list(map(len, columns))
-    for cells in text():
-        widths = list(map(max, widths, map(len, cells)))
+    for row in rows():
+        widths = list(map(max, widths, map(_cell_text_len, map(row.get, columns))))
     lines = chain(["  ".join(map(str.ljust, columns, widths))],
                   ("  ".join(map(str.rjust, r, widths)) for r in text()))
     _echo_blocks(line.rstrip() + "\n" for line in lines)
@@ -189,7 +238,7 @@ def _ok_text(ok: bool) -> str:
 def _parse_threads(ctx, param, value: str) -> int:
     # A callback, so click's error names --threads, also for TWOBRIDGE_THREADS.
     if value == "auto":
-        return os.cpu_count() or 1
+        return _cpu_count()
     try:
         n = int(value)
     except ValueError:

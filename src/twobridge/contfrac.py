@@ -61,12 +61,15 @@ class EvenSequence(tuple):
 
     Subclasses ``tuple``, so even sequences are hashable, iterable and
     compare entrywise by integer value, which is also the total order
-    used for canonical forms.
+    used for canonical forms.  Like ``tuple``, it returns an even
+    sequence passed to it unchanged.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries):
+        if type(entries) is cls:
+            return entries  # immutable, and checked when it was built
         entries = tuple(entries)
         for i, e in enumerate(entries):
             if isinstance(e, int) and e and not e % 2:

@@ -170,8 +170,9 @@ def enumerate_classes(c: int, mode: Mode):
             own_cols, mirror_cols = palindromic if mirror is own else general
             members = [map(own.__getitem__, col) for col in own_cols]
             members += [map(mirror.__getitem__, col) for col in mirror_cols]
+            # Every key is 2m entries 2x * (+/-1) from the unit's columns: valid, unchecked.
             for key in map(min, *members):
-                yield KnotClass(EvenSequence(key), mode)
+                yield KnotClass(tuple.__new__(EvenSequence, key), mode)
 
 
 @dataclass(frozen=True)
@@ -216,10 +217,17 @@ def _orbit_minima(c: int, ell: int, m: int) -> dict:
     return {Mode.MIRROR_DISTINCT: distinct, Mode.MIRROR_COLLAPSED: collapsed}
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(threads: int, units: int) -> int:
     # Never more workers than units to share or CPUs to run them: a pool
     # starts all of its workers at once.
-    return min(threads, units, os.cpu_count() or 1)
+    return min(threads, units, _cpu_count())
 
 
 def _unit_size(unit: tuple) -> int:

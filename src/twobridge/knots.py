@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import neg
 
 from .contfrac import EvenSequence, SequenceError
 
@@ -37,10 +38,10 @@ def _require_c(c: int):
 
 def _orbit_min(entries: tuple, mode: Mode) -> tuple:
     # Hot path: plain tuples in, plain tuple out.
-    rn = tuple(-e for e in entries[::-1])
+    rn = tuple(map(neg, entries[::-1]))
     if mode is Mode.MIRROR_DISTINCT:
         return entries if entries <= rn else rn
-    return min(entries, rn, tuple(-e for e in entries), entries[::-1])
+    return min(entries, rn, tuple(map(neg, entries)), entries[::-1])
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ def canonicalize(seq, mode: Mode) -> KnotClass:
     """
     _require_mode(mode)
     s = EvenSequence(seq)
-    return KnotClass(EvenSequence(_orbit_min(tuple(s), mode)), mode)
+    # Reversal and negation keep a sequence valid, so the minimum needs no check.
+    return KnotClass(tuple.__new__(EvenSequence, _orbit_min(tuple(s), mode)), mode)
 
 
 def is_amphichiral(seq) -> bool:
@@ -88,4 +90,4 @@ def is_amphichiral(seq) -> bool:
     """
     t = tuple(EvenSequence(seq))
     d = Mode.MIRROR_DISTINCT
-    return _orbit_min(t, d) == _orbit_min(tuple(-e for e in t), d)
+    return _orbit_min(t, d) == _orbit_min(tuple(map(neg, t)), d)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from twobridge import Mode, cli, enumerate_classes, formulas, identities
 from twobridge.cli import _emit_rows, main
@@ -249,6 +250,78 @@ class TestEmitRows:
             assert out.endswith("}") and '"c": "49"' in out and '"c": "50"' not in out
 
 
+@contextlib.contextmanager
+def default_int_text_limit():
+    """Hold Python 3.11+'s default int-to-str digit limit, so a long str() raises."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # Python 3.10 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(4300)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
+class TestCellTextLen:
+    def test_ints_around_powers_of_ten(self):
+        # 10^k - 1 has k digits (0 has one), 10^k and 10^k + 1 have k + 1;
+        # a minus sign adds one.  Six cases per k.
+        cases = []
+        for k in range(5001):
+            p = 10**k
+            for d, digits in ((-1, max(k, 1)), (0, k + 1), (1, k + 1)):
+                cases += [(p + d, digits), (-(p + d), digits + (p + d > 0))]
+        values, want = map(list, zip(*cases))
+        with default_int_text_limit():
+            assert list(map(cli._cell_text_len, values)) == want
+        # The digit counts above are those of the text, checked where str()
+        # is cheap (it is quadratic in the digits) and around the limit.
+        text_ks = {*range(2001), 4299, 4300, 4301, 5000}
+        with cli._unbounded_int_text():
+            for i in (i for i in range(len(cases)) if i // 6 in text_ks):
+                assert len(cli._cell_text(values[i])) == want[i], values[i]
+
+    def test_fractions_and_other_cells(self):
+        big = 10**5000
+        values = [Fraction(-2, 3), Fraction(-10**9, 10**9 + 1), Fraction(1, 10),
+                  Fraction(-(big - 1), 7), Fraction(big + 1, big - 3), Fraction(0),
+                  None, True, False, "", "ok", "MISMATCH", "héllo"]
+        with cli._unbounded_int_text():
+            want = [len(cli._cell_text(v)) for v in values]
+        with default_int_text_limit():
+            got = list(map(cli._cell_text_len, values))
+        assert got == want
+
+
+JSON_TEXT = st.text() | st.text(st.sampled_from('a"\\/\n\r\t\x00\x1f\x7f\u2028é€😀'))
+JSON_CELLS = (st.none() | st.booleans() | st.integers()
+              | st.integers(-(10**80), 10**80) | st.fractions() | JSON_TEXT)
+
+
+@st.composite
+def json_tables(draw):
+    columns = draw(st.lists(JSON_TEXT, unique=True, max_size=5))
+    keys = st.sampled_from(columns) if columns else st.nothing()
+    # A row may miss any column, and may carry keys that are no column.
+    rows = draw(st.lists(st.dictionaries(keys | JSON_TEXT, JSON_CELLS, max_size=6), max_size=4))
+    return rows, columns
+
+
+class TestJsonChunks:
+    @given(json_tables())
+    def test_equals_json_dumps(self, table):
+        rows, columns = table
+        records = [{k: cli._cell_json(r.get(k)) for k in columns} for r in rows]
+        want = json.dumps(records, indent=2) + "\n"
+        assert "".join(cli._json_chunks(iter(rows), columns)) == want
+
+    def test_no_columns(self):
+        assert "".join(cli._json_chunks([{}, {"x": 1}], [])) == "[\n  {},\n  {}\n]\n"
+
+
 class TestKnot:
     def test_trefoil_fields(self, runner):
         result = run(runner, "knot", "--cf", "2,-2")
@@ -429,11 +502,14 @@ class TestTable1:
             return real(cs)
 
         monkeypatch.setattr(cli, "tallies", spy)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
         env = {"TWOBRIDGE_THREADS": "2"}
         assert runner.invoke(main, ["table1", "--max-c", "4"], env=env).exit_code == 0
         args = ["--threads", "1", "table1", "--max-c", "4"]
         assert runner.invoke(main, args, env=env).exit_code == 0
-        assert asked == [2, 1]
+        args = ["--threads", "auto", "table1", "--max-c", "4"]
+        assert runner.invoke(main, args, env=env).exit_code == 0
+        assert asked == [2, 1, 3]
         bad = runner.invoke(main, ["table1", "--max-c", "4"], env={"TWOBRIDGE_THREADS": "0"})
         assert bad.exit_code == 2
         assert "Invalid value for '--threads': '0'" in bad.output

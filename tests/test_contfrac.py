@@ -23,6 +23,10 @@ from twobridge import (
 )
 
 
+class Entries(tuple):
+    """A tuple subclass other than EvenSequence."""
+
+
 @st.composite
 def even_sequences(draw, max_m=6, max_abs=8):
     m = draw(st.integers(1, max_m))
@@ -121,6 +125,30 @@ class TestValidate:
         with pytest.raises(RejectOddEntry) as err:
             EvenSequence([True, True])
         assert str(err.value) == "entry True at index 0 is not an integer"
+
+    def test_even_sequence_returned_unchanged(self):
+        seq = EvenSequence([2, -4])
+        assert EvenSequence(seq) is seq
+
+    @pytest.mark.parametrize("container", [list, tuple, Entries], ids=["list", "tuple", "subclass"])
+    @pytest.mark.parametrize(
+        "entries,error,message",
+        [
+            ([2, 3], RejectOddEntry, "entry 3 at index 1 is odd"),
+            ([2, 0], RejectZeroEntry, "entry at index 1 is zero"),
+            ([2, 2.0], RejectOddEntry, "entry 2.0 at index 1 is not an integer"),
+            ([True, True], RejectOddEntry, "entry True at index 0 is not an integer"),
+            ([2, -2, 4], RejectOddLength, "length 3 is not an even number >= 2"),
+            ([], RejectOddLength, "length 0 is not an even number >= 2"),
+        ],
+        ids=["odd", "zero", "float", "bool", "odd_length", "empty"],
+    )
+    def test_other_containers_still_checked(self, container, entries, error, message):
+        with pytest.raises(error) as err:
+            EvenSequence(container(entries))
+        assert str(err.value) == message
+        seq = EvenSequence(container([2, -4]))
+        assert type(seq) is EvenSequence and seq == (2, -4)
 
 
 class TestCfValue:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from twobridge import (
+    EvenSequence,
     Mode,
     crossing_number,
     enumerate_classes,
@@ -28,6 +29,7 @@ from twobridge.enumeration import (
     _blocks,
     _orbit_minima,
     _raw_sequences,
+    _cpu_count,
     _unit_tables,
     _worker_count,
     compositions,
@@ -199,6 +201,15 @@ class TestEnumerateClasses:
             assert not per_unit
 
 
+    @pytest.mark.parametrize("mode", [D, C], ids=["D", "C"])
+    def test_keys_pass_validation(self, mode):
+        # Built without the check, so each key must pass it when made again.
+        for c in range(3, 15):
+            for kc in enumerate_classes(c, mode):
+                assert type(kc.canonical) is EvenSequence
+                assert EvenSequence(list(kc.canonical)) == kc.canonical, (c, kc)
+
+
 class TestTally:
     def test_trefoil_row(self):
         t = tally(3, D)
@@ -307,7 +318,7 @@ class TestTallies:
         assert before == [] and same
         # A pool starts only with two CPUs to run it.
         assert after == (["concurrent.futures", "multiprocessing"]
-                         if (os.cpu_count() or 1) > 1 else [])
+                         if _cpu_count() > 1 else [])
 
     def test_pool_takes_units_largest_first(self, monkeypatch):
         handed = []
@@ -319,7 +330,7 @@ class TestTallies:
                 return super().map(fn, *zip(*units), chunksize=chunksize)
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
         cs = range(3, 19)
         assert tallies(cs, threads=2) == tallies(cs)
         [(units, chunksize)] = handed
@@ -338,7 +349,7 @@ class TestTallies:
                 started.append(kwargs["max_workers"])
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
         tallies(range(3, 13), threads=2)
         assert started == [2]
 
@@ -364,7 +375,7 @@ class TestTallies:
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(enumeration, "_orbit_minima", refuse)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 4)
         with pytest.raises(error, match=named):
             tallies([9], threads=threads)
         with pytest.raises(error, match=named):
@@ -373,12 +384,39 @@ class TestTallies:
 
 class TestWorkerCount:
     def test_huge_request_clamped_to_cpus_and_units(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 4)
         assert _worker_count(10**6, 10**6) == 4
         assert _worker_count(10**6, 3) == 3
         assert _worker_count(2, 10**6) == 2
         assert _worker_count(10**6, 0) == 0
 
     def test_unknown_cpu_count_means_one(self, monkeypatch):
+        # A platform with no affinity call falls back on the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _cpu_count() == 1
         assert _worker_count(10**6, 10**6) == 1
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert _cpu_count() == 6
+        assert _worker_count(10**6, 10**6) == 6
+
+    def test_affinity_counts_not_the_machine(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _cpu_count() == 3
+        assert _worker_count(8, 30) == 3
+
+    def test_affinity_of_one_starts_no_pool(self, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", refuse)
+        assert _worker_count(8, 30) == 1
+        found = tallies(range(3, 13), threads=2)
+        monkeypatch.undo()
+        assert found == tallies(range(3, 13))

@@ -72,6 +72,13 @@ class TestCanonicalize:
         for g in images:
             assert canonicalize(g, mode) == base
 
+    @given(even_sequences(max_abs=10**6), st.sampled_from((D, C)))
+    def test_canonical_form_passes_validation(self, seq, mode):
+        # Built without the check, so it must pass the check when made again.
+        canonical = canonicalize(list(seq), mode).canonical
+        assert type(canonical) is EvenSequence
+        assert EvenSequence(list(canonical)) == canonical
+
     def test_text_round_trip(self):
         kc = canonicalize((4, 2), D)
         assert kc.to_text() == "D:-2,-4"
