@@ -18,7 +18,10 @@ consumers never face 64-bit overflow.
 Output is written in blocks of about BLOCK_CHARS characters as rows are
 computed: ``formulas`` and ``table1`` in every format, and the class
 stream of ``enumerate``, run in memory that does not grow with the row
-count.  JSON records are laid out here with the bytes of
+count.  The class stream prints the plain-tuple keys of the
+enumeration's key walker through a table of entry texts made once per
+command, so no line builds a KnotClass or calls str() per entry.
+JSON records are laid out here with the bytes of
 ``json.dumps(rows, indent=2)``, since the encoder runs in pure Python
 once given an indent.  A table needs every column width before its
 first line, so it computes its rows twice, once for the widths and once
@@ -49,7 +52,7 @@ from .contfrac import (
     genus,
     sign_changes,
 )
-from .enumeration import _cpu_count, enumerate_classes, tallies
+from .enumeration import _class_keys, _cpu_count, tallies
 from .knots import Mode, canonicalize, is_amphichiral
 
 # Largest crossing number a command enumerates, a work budget:
@@ -356,7 +359,10 @@ def cmd_enumerate(ctx, crossings, mode):
     fmt = ctx.obj["fmt"]
     if fmt == "table":
         click.echo(f"c={crossings} mode={mode}")
-        _echo_blocks(kc.canonical.to_text() + "\n" for kc in enumerate_classes(crossings, m))
+        # Every entry of a class key has |e| <= c - 1, so the text of each value
+        # is made once; a value past the table raises KeyError, never prints.
+        text = {v: str(v) for v in range(-crossings, crossings + 1)}.__getitem__
+        _echo_blocks(",".join(map(text, key)) + "\n" for key in _class_keys(crossings, m))
         return
     t = tallies([crossings], ctx.obj["threads"])[crossings][m]
     gmax = (crossings - 1) // 2

@@ -150,8 +150,8 @@ def _class_columns(mode: Mode, rn: list, rev: list, half: int, palindrome: bool)
     return [sel, [i + half for i in sel]], [[rn[i] for i in sel], [rev[i] for i in sel]]
 
 
-def enumerate_classes(c: int, mode: Mode):
-    """Yield each knot class with crossing number ``c`` once.
+def _class_keys(c: int, mode: Mode):
+    """Yield the canonical key of each knot class with crossing number ``c``, as a tuple.
 
     Order: first encounter in the sequence stream of
     :func:`enumerate_sequences` (ell, genus, composition, sign-pattern
@@ -170,9 +170,14 @@ def enumerate_classes(c: int, mode: Mode):
             own_cols, mirror_cols = palindromic if mirror is own else general
             members = [map(own.__getitem__, col) for col in own_cols]
             members += [map(mirror.__getitem__, col) for col in mirror_cols]
-            # Every key is 2m entries 2x * (+/-1) from the unit's columns: valid, unchecked.
-            for key in map(min, *members):
-                yield KnotClass(tuple.__new__(EvenSequence, key), mode)
+            yield from map(min, *members)
+
+
+def enumerate_classes(c: int, mode: Mode):
+    """Yield each knot class with crossing number ``c`` once, in the order of ``_class_keys``."""
+    for key in _class_keys(c, mode):
+        # Every key is 2m entries 2x * (+/-1) from the unit's columns: valid, unchecked.
+        yield KnotClass(tuple.__new__(EvenSequence, key), mode)
 
 
 @dataclass(frozen=True)

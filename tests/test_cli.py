@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from twobridge import Mode, cli, enumerate_classes, formulas, identities
+from twobridge import KnotClass, Mode, cli, crossing_number, enumerate_classes, formulas, identities
 from twobridge.cli import _emit_rows, main
 
 
@@ -421,14 +421,17 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("mode", ["D", "C"])
     def test_stream_in_blocks_equals_class_stream(self, runner, mode):
+        # The CLI prints class keys through its own entry-text table, not
+        # through KnotClass: every c up to 16 must give the library's text.
+        for c in range(3, 17):
+            want = f"c={c} mode={mode}\n" + "".join(
+                kc.canonical.to_text() + "\n" for kc in enumerate_classes(c, Mode(mode))
+            )
+            args = ["enumerate", "--crossings", str(c), "--mode", mode]
+            assert run(runner, *args).output == want, c
         # c = 16 has 5,461 mirror-distinct classes: more than one block.
-        want = f"c=16 mode={mode}\n" + "".join(
-            kc.canonical.to_text() + "\n" for kc in enumerate_classes(16, Mode(mode))
-        )
         if mode == "D":
             assert len(want) > cli.BLOCK_CHARS
-        args = ["enumerate", "--crossings", "16", "--mode", mode]
-        assert run(runner, *args).output == want
         # In process, as a caller that swaps sys.stdout for a text wrapper.
         raw = io.BytesIO()
         text = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
@@ -436,6 +439,21 @@ class TestEnumerate:
             main.main(args, prog_name="twobridge", standalone_mode=False)
             text.flush()
         assert raw.getvalue().decode() == want
+
+    @pytest.mark.parametrize("mode", ["D", "C"])
+    def test_every_line_is_a_canonical_class(self, runner, mode):
+        for c in range(3, 15):
+            lines = run(runner, "enumerate", "--crossings", str(c), "--mode", mode).output
+            for line in lines.splitlines()[1:]:
+                # from_text refuses text that is not its class's canonical form.
+                kc = KnotClass.from_text(f"{mode}:{line}")
+                assert crossing_number(kc.canonical) == c, (c, line)
+
+    def test_entry_past_the_text_table_raises(self, runner, monkeypatch):
+        # The table covers |e| <= c; a key outside it is a broken bound, not text.
+        monkeypatch.setattr(cli, "_class_keys", lambda c, mode: iter([(2, -2), (2, 2 * c)]))
+        with pytest.raises(KeyError):
+            run(runner, "enumerate", "--crossings", "5")
 
     def test_collapsed_mode(self, runner):
         result = run(runner, "--format", "csv", "enumerate", "--crossings", "10", "--mode", "C")
@@ -578,7 +596,7 @@ class TestBounds:
             raise AssertionError("enumeration started")
 
         monkeypatch.setattr(cli, "tallies", refuse)
-        monkeypatch.setattr(cli, "enumerate_classes", refuse)
+        monkeypatch.setattr(cli, "_class_keys", refuse)
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert named in result.output

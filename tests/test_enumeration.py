@@ -27,6 +27,7 @@ from twobridge import (
 from twobridge import enumeration
 from twobridge.enumeration import (
     _blocks,
+    _class_keys,
     _orbit_minima,
     _raw_sequences,
     _cpu_count,
@@ -188,6 +189,14 @@ class TestEnumerateClasses:
             got = list(enumerate_classes(c, mode))
             assert all(kc.mode is mode for kc in got)
             assert [tuple(kc.canonical) for kc in got] == set_route_classes(c, mode), c
+
+    @pytest.mark.parametrize("mode", [D, C], ids=["D", "C"])
+    def test_keys_are_the_class_stream(self, mode):
+        # The CLI prints _class_keys directly; enumerate_classes wraps the same walk.
+        for c in range(3, 17):
+            keys = list(_class_keys(c, mode))
+            assert all(type(key) is tuple for key in keys)
+            assert keys == [tuple(kc.canonical) for kc in enumerate_classes(c, mode)], c
 
     @pytest.mark.parametrize("mode", [D, C], ids=["D", "C"])
     def test_unit_counts_equal_orbit_minima(self, mode):
