@@ -213,19 +213,14 @@ def _emit_rows(rows, columns, fmt):
 
 
 @_unbounded_int_text()
-def _emit_record(row, fmt, text_ints=()):
+def _emit_record(row, fmt):
     """Print one record: a JSON object, a one-row CSV, or key/value lines.
 
-    JSON carries Fractions, and the integers under the keys in
-    ``text_ints``, as decimal strings; the other fields stay plain JSON
-    numbers.
+    JSON carries Fractions as decimal strings; integers stay plain JSON
+    numbers, so a row holds an unbounded integer as its text.
     """
     if fmt == "json":
-        record = {
-            k: _cell_json(v) if isinstance(v, Fraction) or k in text_ints else v
-            for k, v in row.items()
-        }
-        click.echo(json.dumps(record, indent=2))
+        click.echo(json.dumps(row, indent=2, default=_cell_json))
     elif fmt == "csv":
         _emit_rows(lambda: [row], list(row), fmt)
     else:
@@ -382,19 +377,22 @@ def cmd_knot(ctx, text):
         seq = EvenSequence.from_text(text)
     except SequenceError as exc:
         raise click.ClickException(str(exc))
+    # The crossing number sums the entries, which are unbounded user input, so
+    # it travels as text, made past the digit limit that parsing above keeps;
+    # genus and sign changes are bounded by the entry count.
+    with _unbounded_int_text():
+        crossings = str(crossing_number(seq))
     row = {
         "sequence": seq.to_text(),
         "value": cf_value(seq),
         "genus": genus(seq),
         "sign_changes": sign_changes(seq),
-        "crossing_number": crossing_number(seq),
+        "crossing_number": crossings,
         "canonical_mirror_distinct": canonicalize(seq, Mode.MIRROR_DISTINCT).to_text(),
         "canonical_mirror_collapsed": canonicalize(seq, Mode.MIRROR_COLLAPSED).to_text(),
         "amphichiral": is_amphichiral(seq),
     }
-    # The crossing number sums the entries, which are unbounded user input;
-    # genus and sign changes are bounded by the entry count.
-    _emit_record(row, ctx.obj["fmt"], text_ints=("crossing_number",))
+    _emit_record(row, ctx.obj["fmt"])
 
 
 @main.command("verify")

@@ -158,16 +158,16 @@ def even_expansion(x) -> EvenSequence:
 
 def sign_changes(seq) -> int:
     """Number of adjacent entry pairs with opposite signs."""
-    s = tuple(seq)
+    s = EvenSequence(seq)
     return sum(1 for a, b in zip(s, s[1:]) if (a > 0) != (b > 0))
 
 
 def crossing_number(seq) -> int:
     """Sum of absolute entries minus the sign-change count."""
-    s = tuple(seq)
+    s = EvenSequence(seq)
     return sum(abs(e) for e in s) - sign_changes(s)
 
 
 def genus(seq) -> int:
     """Half the sequence length."""
-    return len(tuple(seq)) // 2
+    return len(EvenSequence(seq)) // 2

@@ -27,21 +27,11 @@ class BranchMismatch(ArithmeticError):
     """Two independent evaluations of the same value disagree (bug sentinel)."""
 
 
-class NonIntegerResult(ArithmeticError):
-    """A quantity that must be an integer came out fractional (bug sentinel)."""
-
-
 def _exact_div(n: int, d: int) -> int:
     q, r = divmod(n, d)
     if r:
         raise InexactDivision(f"{n} is not divisible by {d}")
     return q
-
-
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise NonIntegerResult(f"expected an integer, got {x}")
-    return x.numerator
 
 
 def tk_closed(c: int) -> int:
@@ -198,35 +188,29 @@ def stratum_closed_A(k: int, l: int, parity: str) -> int:
     return binom(k + l, 2 * l + 1) * 2 ** (k - l - 2) + symmetric
 
 
-def stratum_closed_B(k: int, l: int, parity: str) -> Fraction:
+def stratum_closed_B(k: int, l: int, parity: str) -> int:
     """Genus sum of the sign-change stratum, mirrors distinct.
 
-    Always an integer; the return type carries the halved intermediate
-    terms of the boundary cases l = k-2 and l = k-1 exactly, and a
-    fractional final value raises NonIntegerResult.
+    Its terms carry powers of two down to 1/8 and, in the boundary cases
+    l = k-2 and l = k-1, halves, so the sum is built as 8 times its value
+    in integers and divided exactly once.
     """
     _check_stratum_args(k, l, parity)
-    two = Fraction(2)
     if parity == "even":
-        twice = (k + 3 * l + 1) * two ** (k - l - 3) * binom(k + l - 1, k - l - 1)
+        eight = ((k + 3 * l + 1) << (k - l - 1)) * binom(k + l - 1, k - l - 1)
         if l == k - 2:
-            twice += Fraction(2 * k - 3, 2)
+            eight += 4 * k - 6
         elif l == k - 1:
-            twice -= Fraction(2 * k - 1, 2)
-        value = twice / 2
-    else:
-        value = (k + 3 * l + 3) * two ** (k - l - 4) * binom(k + l, 2 * l + 1)
-        if l == k - 2:
-            value -= Fraction(k - 1, 2)
-        elif l == k - 1:
-            value += Fraction(k, 2)
-        if (k + l) % 2 == 1:
-            value += (
-                (k + 3 * l + 3)
-                * two ** ((k - l - 5) // 2)
-                * binom((k + l - 1) // 2, l)
-            )
-    return Fraction(_as_int(value))
+            eight -= 4 * k - 2
+        return _exact_div(eight, 8)
+    eight = ((k + 3 * l + 3) << (k - l - 1)) * binom(k + l, 2 * l + 1)
+    if l == k - 2:
+        eight -= 4 * (k - 1)
+    elif l == k - 1:
+        eight += 4 * k
+    if (k + l) % 2 == 1:
+        eight += ((k + 3 * l + 3) << ((k - l + 1) // 2)) * binom((k + l - 1) // 2, l)
+    return _exact_div(eight, 8)
 
 
 def check_tallies(found: dict) -> dict:

@@ -81,12 +81,17 @@ def beta_sum(n: int, x) -> Fraction:
     return _poly_at([binom(2 * n - q, q) for q in range(n + 1)], _exact(x))
 
 
-def _report(identity_id: str, n_range: tuple, x_values: tuple, failures) -> IdentityReport:
-    """Run one check over ``n_range`` and report its first failure, if any.
+def _report(identity_id: str, lo: int, n_max: int, x_values: tuple, failures,
+            below: int = 0) -> IdentityReport:
+    """Run one check over n in [lo, n_max - below] and report its first failure, if any.
 
-    ``failures`` yields counterexample text and is called only on a
-    nonempty range; an empty one is refused, not reported as a pass.
+    ``failures`` yields counterexample text and is called only once
+    ``n_max`` is an int (a bool is refused) and the range is nonempty;
+    an empty range is refused, not reported as a pass.
     """
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise TypeError(f"n_max={n_max!r} is not an int")
+    n_range = (lo, n_max - below)
     if n_range[0] > n_range[1]:
         raise ValueError(f"{identity_id}: n in [{n_range[0]}, {n_range[1]}] is empty")
     return IdentityReport(identity_id, n_range, x_values, next(failures(), None))
@@ -111,7 +116,7 @@ def alpha_recurrence_check(n_max: int, x) -> IdentityReport:
             if b[n] != a[n + 1] - x * a[n]:
                 yield f"n={n}: beta {b[n]} != {a[n + 1] - x * a[n]}"
 
-    return _report("alpha_recurrence", (1, n_max - 1), (x,), failures)
+    return _report("alpha_recurrence", 1, n_max, (x,), failures, below=1)
 
 
 def x2_specialization_check(n_max: int) -> IdentityReport:
@@ -124,7 +129,7 @@ def x2_specialization_check(n_max: int) -> IdentityReport:
             if beta_sum(n, 2) != Fraction(2 * 4**n + 1, 3):
                 yield f"beta n={n}"
 
-    return _report("x2_specialization", (0, n_max), (Fraction(2),), failures)
+    return _report("x2_specialization", 0, n_max, (Fraction(2),), failures)
 
 
 def weighted_sum_check(n_max: int) -> IdentityReport:
@@ -133,18 +138,19 @@ def weighted_sum_check(n_max: int) -> IdentityReport:
     For all 1 <= n <= n_max:
       sum q 2^q C(2n-1-q, q), q=0..n-1  ==  (2/27) ((4^n - 1)(3n - 2) - 3n)
       sum q 2^q C(2n-q, q),   q=0..n    ==  (2/27) ((4^n - 1)(6n - 1) + 12n)
+    each compared as 27 times the sum, in integers.
     """
 
     def failures():
         for n in range(1, n_max + 1):
             first = sum(q * 2**q * binom(2 * n - 1 - q, q) for q in range(n))
-            if first != Fraction(2, 27) * ((4**n - 1) * (3 * n - 2) - 3 * n):
+            if 27 * first != 2 * ((4**n - 1) * (3 * n - 2) - 3 * n):
                 yield f"first, n={n}"
             second = sum(q * 2**q * binom(2 * n - q, q) for q in range(n + 1))
-            if second != Fraction(2, 27) * ((4**n - 1) * (6 * n - 1) + 12 * n):
+            if 27 * second != 2 * ((4**n - 1) * (6 * n - 1) + 12 * n):
                 yield f"second, n={n}"
 
-    return _report("weighted_sums", (1, n_max), (), failures)
+    return _report("weighted_sums", 1, n_max, (), failures)
 
 
 def wellknown_check(n_max: int) -> IdentityReport:
@@ -171,19 +177,16 @@ def wellknown_check(n_max: int) -> IdentityReport:
             if sum(map(mul, range(n + 1), row)) != n * 2 ** (n - 1):
                 yield f"weighted row sum, n={n}"
 
-    return _report("wellknown", (0, n_max), (), failures)
+    return _report("wellknown", 0, n_max, (), failures)
 
 
 def identity_suite(n_max: int) -> list:
     """Every identity check up to n_max, the recurrence at five rational points.
 
     The recurrence needs n_max >= 2; at n_max = 1 the suite leaves it
-    out, since the check refuses its empty range.
+    out, since the check refuses its empty range.  The first check
+    refuses a non-int ``n_max`` before the suite compares it.
     """
+    reports = [wellknown_check(n_max), x2_specialization_check(n_max), weighted_sum_check(n_max)]
     points = (0, 1, 2, -1, Fraction(3, 2)) if n_max >= 2 else ()
-    return [
-        wellknown_check(n_max),
-        x2_specialization_check(n_max),
-        weighted_sum_check(n_max),
-        *(alpha_recurrence_check(n_max, x) for x in points),
-    ]
+    return reports + [alpha_recurrence_check(n_max, x) for x in points]

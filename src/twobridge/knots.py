@@ -84,10 +84,10 @@ def canonicalize(seq, mode: Mode) -> KnotClass:
 def is_amphichiral(seq) -> bool:
     """True when the knot equals its own mirror image.
 
-    Decided through canonical forms: the sequence and its negation must
-    share a mirror-distinct class.  Only possible at even crossing
-    number.
+    That is when the sequence is a palindrome: the mirror-distinct class
+    of s is {s, -rev s} and that of its mirror -s is {-s, rev s}, and
+    these are equal exactly when s = rev s.  Only possible at even
+    crossing number.
     """
-    t = tuple(EvenSequence(seq))
-    d = Mode.MIRROR_DISTINCT
-    return _orbit_min(t, d) == _orbit_min(tuple(map(neg, t)), d)
+    s = EvenSequence(seq)
+    return s == s[::-1]

@@ -391,6 +391,21 @@ class TestLongIntegers:
         fields = dict(line.split(None, 1) for line in result.output.strip().splitlines())
         assert len(fields["value"]) > 4300
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_knot_crossing_number_over_4300_digits(self, runner, fmt):
+        # Each entry has 4300 digits, the most that parsing accepts, and their
+        # sum 2 * 88...80 = 177...760 has 4301, past the limit of Python 3.11+.
+        entry = "8" * 4299 + "0"
+        result = run(runner, "--format", fmt, "knot", "--cf", f"{entry},{entry}")
+        assert result.exit_code == 0
+        if fmt == "json":
+            fields = json.loads(result.output)
+        elif fmt == "csv":
+            fields = parse_csv(result.output)[0]
+        else:
+            fields = dict(line.split(None, 1) for line in result.output.strip().splitlines())
+        assert fields["crossing_number"] == "1" + "7" * 4298 + "60"
+
 
 class TestEnumerate:
     def test_stream_five_crossings(self, runner):

@@ -275,6 +275,20 @@ class TestInvariants:
     def test_genus(self, seq, expected):
         assert genus(seq) == expected
 
+    @pytest.mark.parametrize("fn", [sign_changes, crossing_number, genus],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize(
+        "seq,error",
+        [([0, 2], RejectZeroEntry), ([3], RejectOddEntry), ([1, 2, 3], RejectOddEntry),
+         ([2], RejectOddLength), ([2, 2.0], RejectOddEntry)],
+        ids=["zero", "odd_single", "odd_entries", "odd_length", "float"],
+    )
+    def test_invalid_sequence_refused(self, fn, seq, error):
+        # Unchecked, these read sign_changes([0, 2]) == 1, crossing_number([3]) == 3
+        # and genus([1, 2, 3]) == 1.
+        with pytest.raises(error):
+            fn(seq)
+
     @given(even_sequences())
     def test_parity_and_bounds(self, seq):
         ell = sign_changes(seq)

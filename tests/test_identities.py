@@ -168,6 +168,25 @@ def test_empty_range_refused(call, empty):
         call()
 
 
+@pytest.mark.parametrize("n_max", [True, 2.0, "4", None], ids=repr)
+@pytest.mark.parametrize(
+    "check",
+    [identity_suite, wellknown_check, x2_specialization_check, weighted_sum_check,
+     lambda n_max: alpha_recurrence_check(n_max, 2)],
+    ids=["identity_suite", "wellknown", "x2_specialization", "weighted_sums",
+         "alpha_recurrence"],
+)
+def test_non_int_n_max_refused_before_any_sum(check, n_max, monkeypatch):
+    # True would run as n_max = 1, and 2.0 would fail inside range unnamed.
+    def refuse(*_):
+        raise AssertionError("a sum started")
+
+    monkeypatch.setattr(identities, "binom", refuse)
+    monkeypatch.setattr(identities.math, "comb", refuse)
+    with pytest.raises(TypeError, match=f"^n_max={n_max!r} is not an int$"):
+        check(n_max)
+
+
 def test_suite_reports_no_empty_range():
     for n_max in range(1, 5):
         for report in identity_suite(n_max):

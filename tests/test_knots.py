@@ -153,6 +153,7 @@ class TestAmphichiral:
                 t = tuple(s)
                 same = canonicalize(t, D) == canonicalize(tuple(-e for e in t), D)
                 assert same == (t == t[::-1])
+                assert is_amphichiral(t) == same
                 mags = tuple(abs(e) for e in t)
                 if mags != mags[::-1]:
                     assert not same
