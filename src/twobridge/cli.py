@@ -24,10 +24,11 @@ command, so no line builds a KnotClass or calls str() per entry.
 JSON records are laid out here with the bytes of
 ``json.dumps(rows, indent=2)``, since the encoder runs in pure Python
 once given an indent.  A table needs every column width before its
-first line, so it computes its rows twice, once for the widths and once
-to print, instead of keeping them; the width pass converts no value to
-text.  The process pool module loads only when ``--threads`` above 1
-starts a pool.
+first line, so it computes each row once and spools its cell text to a
+temporary file under TMPDIR (41 MB for ``formulas --max-c 6000``, whose
+table is 87 MB), then pads the lines it reads back; the file is
+unlinked when the table is printed or a row raises.  The process pool
+module loads only when ``--threads`` above 1 starts a pool.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import contextlib
 import csv
 import json
 import sys
+import tempfile
 from fractions import Fraction
-from functools import lru_cache, partial
 from itertools import chain
 from types import SimpleNamespace
 
@@ -60,6 +61,11 @@ from .knots import Mode, canonicalize, is_amphichiral
 # and each +2 in c costs about 4 times more.
 MAX_ENUM_C = 26
 
+# Largest n of the identity checks, a work budget: wellknown_check is
+# cubic in n, and verify --identities took 2.2 s at n = 256 and 9.0 s at
+# n = 384 on the same host.
+MAX_IDENTITY_N = 256
+
 # Characters per write of streamed output: click.echo flushes stdout on
 # every call, and a block bounded in characters, not rows, keeps memory
 # flat both for the short lines of the class stream (5.6 million in mode D
@@ -79,38 +85,6 @@ def _cell_text(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
-
-
-# log10(2) cut to 40 decimals, so k * _LOG10_2 // _LOG10_2_SCALE is
-# floor(k log10 2) for every bit length k < 2^64: the cut loses under 2e-21
-# there, and the convergents of log10 2 show that k log10 2 stays over
-# 2e-20 from every integer for 0 < k < 2^64.
-_LOG10_2 = 3010299956639811952137388947244930267681
-_LOG10_2_SCALE = 10**40
-
-
-@lru_cache(maxsize=64)
-def _pow10(e: int) -> int:
-    # Bounded, so memory does not grow with c: the values of a column grow
-    # by a digit every few rows, and a row mostly meets the last rows' powers.
-    return 10**e
-
-
-def _int_text_len(n: int) -> int:
-    """len(str(n)), from the bit length and one power of ten, with no text."""
-    a = abs(n)
-    # 2^(b-1) <= a < 2^b has e = floor((b-1) log10 2) + 1 digits or e + 1.
-    e = max(a.bit_length() - 1, 0) * _LOG10_2 // _LOG10_2_SCALE + 1
-    return (n < 0) + e + (a >= _pow10(e))
-
-
-def _cell_text_len(v) -> int:
-    """len(_cell_text(v)); ints and Fractions are not converted to text."""
-    if type(v) is int:
-        return _int_text_len(v)
-    if type(v) is Fraction:
-        return _int_text_len(v.numerator) + 1 + _int_text_len(v.denominator)
-    return len(_cell_text(v))
 
 
 def _cell_json(v):
@@ -187,29 +161,32 @@ def _json_chunks(rows, columns):
 
 @_unbounded_int_text()
 def _emit_rows(rows, columns, fmt):
-    """Print the rows of ``rows()``, an iterable of dicts, under the given columns.
+    """Print ``rows``, an iterable of dicts read once, under the given columns.
 
-    ``rows`` is called once for CSV and JSON.  A table calls it twice: the
-    first pass keeps only the column widths, the second prints, so a row
-    that raises leaves a table unprinted.
+    A table needs every column width before its first line, so it spools
+    each row's cell text, tab-joined, to a temporary file, then pads the
+    lines it reads back; a row that raises leaves a table unprinted.
+    Table cells hold no tab or newline.
     """
-    def text():
-        return ([_cell_text(row.get(k)) for k in columns] for row in rows())
-
     if fmt == "json":
-        _echo_blocks(_json_chunks(rows(), columns))
+        _echo_blocks(_json_chunks(rows, columns))
         return
+    text = ([_cell_text(row.get(k)) for k in columns] for row in rows)
     if fmt == "csv":
         # csv.writer returns what its file's write returns: each row's text.
         writer = csv.writer(SimpleNamespace(write=lambda line: line))
-        _echo_blocks(map(writer.writerow, chain([columns], text())))
+        _echo_blocks(map(writer.writerow, chain([columns], text)))
         return
     widths = list(map(len, columns))
-    for row in rows():
-        widths = list(map(max, widths, map(_cell_text_len, map(row.get, columns))))
-    lines = chain(["  ".join(map(str.ljust, columns, widths))],
-                  ("  ".join(map(str.rjust, r, widths)) for r in text()))
-    _echo_blocks(line.rstrip() + "\n" for line in lines)
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+        for cells in text:
+            widths = list(map(max, widths, map(len, cells)))
+            spool.write("\t".join(cells) + "\n")
+        spool.seek(0)
+        lines = chain(["  ".join(map(str.ljust, columns, widths))],
+                      ("  ".join(map(str.rjust, line[:-1].split("\t"), widths))
+                       for line in spool))
+        _echo_blocks(line.rstrip() + "\n" for line in lines)
 
 
 @_unbounded_int_text()
@@ -222,7 +199,7 @@ def _emit_record(row, fmt):
     if fmt == "json":
         click.echo(json.dumps(row, indent=2, default=_cell_json))
     elif fmt == "csv":
-        _emit_rows(lambda: [row], list(row), fmt)
+        _emit_rows([row], list(row), fmt)
     else:
         width = max(map(len, row))
         for k, v in row.items():
@@ -291,8 +268,7 @@ def _formula_row(c: int) -> dict:
 @click.pass_context
 def cmd_formulas(ctx, max_c):
     """Closed-form counts, total genera and average genera per row."""
-    rows = partial(map, _formula_row, range(3, max_c + 1))
-    _emit_rows(rows, FORMULA_COLUMNS, ctx.obj["fmt"])
+    _emit_rows(map(_formula_row, range(3, max_c + 1)), FORMULA_COLUMNS, ctx.obj["fmt"])
 
 
 @main.command("table1")
@@ -328,11 +304,10 @@ def cmd_table1(ctx, max_c, cutoff):
             )
         return row
 
-    rows = partial(map, table_row, range(3, max_c + 1))
     columns = FORMULA_COLUMNS + [
         "enum_tk", "enum_tg", "enum_tk_mirror", "enum_tg_mirror", "match",
     ]
-    _emit_rows(rows, columns, ctx.obj["fmt"])
+    _emit_rows(map(table_row, range(3, max_c + 1)), columns, ctx.obj["fmt"])
     if not all(totals_ok.values()):
         ctx.exit(1)
 
@@ -398,7 +373,7 @@ def cmd_knot(ctx, text):
 @main.command("verify")
 @click.option("--max-c", type=click.IntRange(3, MAX_ENUM_C), default=14, show_default=True,
               help="Largest crossing number for the enumeration sweeps.")
-@click.option("--max-n", type=click.IntRange(min=1), default=32, show_default=True,
+@click.option("--max-n", type=click.IntRange(1, MAX_IDENTITY_N), default=32, show_default=True,
               help="Largest n for the identity checks.")
 @click.option("--identities", "identities_only", is_flag=True,
               help="Run only the identity checks.")

@@ -12,6 +12,7 @@ crossing number and genus.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -89,11 +90,17 @@ class EvenSequence(tuple):
 
     @classmethod
     def from_text(cls, text: str) -> "EvenSequence":
-        """Parse the comma-separated text form, e.g. ``"2,-2,4"``."""
+        """Parse the comma-separated text form, e.g. ``"2,-2,4"``.
+
+        Each token, stripped of spaces, is an optional sign and ASCII
+        digits: int() alone would also take ``2_0`` and non-ASCII digits.
+        """
         tokens = [t.strip() for t in text.split(",")]
         entries = []
         for tok in tokens:
             try:
+                if not re.fullmatch(r"[+-]?[0-9]+", tok):
+                    raise ValueError
                 entries.append(int(tok))
             except ValueError:
                 raise SequenceError(f"invalid integer token {tok!r}") from None

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -129,17 +130,17 @@ class _CountingSink(io.RawIOBase):
 class TestEmitRows:
     @pytest.fixture
     def emitted(self, monkeypatch):
-        """Record the rows each command's row source yields, and every write.
+        """Record the rows each command passes to the emitter, and every write.
 
-        The real emitter still prints the rows, from a fresh iterator per pass.
+        The real emitter still prints the rows, read once from an iterator.
         """
         seen = {"rows": [], "writes": []}
         real_emit, real_echo = cli._emit_rows, cli.click.echo
 
         def emit(rows, columns, fmt):
-            listed = list(rows())
+            listed = list(rows)
             seen["rows"].append((listed, columns))
-            real_emit(lambda: iter(listed), columns, fmt)
+            real_emit(iter(listed), columns, fmt)
 
         def echo(message=None, **kwargs):
             seen["writes"].append(message)
@@ -178,7 +179,7 @@ class TestEmitRows:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_no_rows(self, capsys, fmt):
         columns = ["c", "tk"]
-        _emit_rows(lambda: iter(()), columns, fmt)
+        _emit_rows(iter(()), columns, fmt)
         out = capsys.readouterr().out
         assert out == reference_output([], columns, fmt)
         assert out == {"json": "[]\n", "csv": "c,tk\r\n", "table": "c  tk\n"}[fmt]
@@ -197,15 +198,14 @@ class TestEmitRows:
                 yield cli._formula_row(c)
 
         with contextlib.redirect_stdout(text):
-            _emit_rows(rows, cli.FORMULA_COLUMNS, fmt)
+            _emit_rows(rows(), cli.FORMULA_COLUMNS, fmt)
             text.flush()
         want = reference_output(list(map(cli._formula_row, cs)), cli.FORMULA_COLUMNS, fmt)
         assert raw.getvalue().decode() == want
+        # Every format reads the rows once.
+        assert len(written_before_last) == 1
         # A table needs every column width first; CSV and JSON do not wait.
         assert (written_before_last[0] >= cli.BLOCK_CHARS) == (fmt != "table")
-        # A table reads its rows twice, printing as it goes the second time.
-        assert len(written_before_last) == (2 if fmt == "table" else 1)
-        assert written_before_last[-1] >= cli.BLOCK_CHARS
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_formulas_memory_below_half_the_output(self, fmt):
@@ -249,51 +249,28 @@ class TestEmitRows:
         else:
             assert out.endswith("}") and '"c": "49"' in out and '"c": "50"' not in out
 
+    def test_table_spool_removed(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spools = []
+        real = tempfile.TemporaryFile
 
-@contextlib.contextmanager
-def default_int_text_limit():
-    """Hold Python 3.11+'s default int-to-str digit limit, so a long str() raises."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:  # Python 3.10 has no limit
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    set_limit(4300)
-    try:
-        yield
-    finally:
-        set_limit(old)
+        def spool(*args, **kwargs):
+            spools.append(real(*args, **kwargs))
+            return spools[-1]
 
+        monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+        _emit_rows(map(cli._formula_row, range(3, 40)), cli.FORMULA_COLUMNS, "table")
+        assert capsys.readouterr().out.count("\n") == 38
 
-class TestCellTextLen:
-    def test_ints_around_powers_of_ten(self):
-        # 10^k - 1 has k digits (0 has one), 10^k and 10^k + 1 have k + 1;
-        # a minus sign adds one.  Six cases per k.
-        cases = []
-        for k in range(5001):
-            p = 10**k
-            for d, digits in ((-1, max(k, 1)), (0, k + 1), (1, k + 1)):
-                cases += [(p + d, digits), (-(p + d), digits + (p + d > 0))]
-        values, want = map(list, zip(*cases))
-        with default_int_text_limit():
-            assert list(map(cli._cell_text_len, values)) == want
-        # The digit counts above are those of the text, checked where str()
-        # is cheap (it is quadratic in the digits) and around the limit.
-        text_ks = {*range(2001), 4299, 4300, 4301, 5000}
-        with cli._unbounded_int_text():
-            for i in (i for i in range(len(cases)) if i // 6 in text_ks):
-                assert len(cli._cell_text(values[i])) == want[i], values[i]
+        def rows():
+            yield cli._formula_row(3)
+            raise formulas.BranchMismatch("c=4: injected")
 
-    def test_fractions_and_other_cells(self):
-        big = 10**5000
-        values = [Fraction(-2, 3), Fraction(-10**9, 10**9 + 1), Fraction(1, 10),
-                  Fraction(-(big - 1), 7), Fraction(big + 1, big - 3), Fraction(0),
-                  None, True, False, "", "ok", "MISMATCH", "héllo"]
-        with cli._unbounded_int_text():
-            want = [len(cli._cell_text(v)) for v in values]
-        with default_int_text_limit():
-            got = list(map(cli._cell_text_len, values))
-        assert got == want
+        with pytest.raises(formulas.BranchMismatch):
+            _emit_rows(rows(), cli.FORMULA_COLUMNS, "table")
+        assert capsys.readouterr().out == ""
+        assert len(spools) == 2 and all(f.closed for f in spools)
+        assert list(tmp_path.iterdir()) == []
 
 
 JSON_TEXT = st.text() | st.text(st.sampled_from('a"\\/\n\r\t\x00\x1f\x7f\u2028é€😀'))
@@ -372,7 +349,7 @@ class TestLongIntegers:
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         big = 10**5000
         row = {"c": 3, "tk": big, "avg": Fraction(big + 1, 3)}
-        _emit_rows(lambda: [row], ["c", "tk", "avg"], fmt)
+        _emit_rows([row], ["c", "tk", "avg"], fmt)
         out = capsys.readouterr().out
         num = self.DIGITS[:-1] + "1"
         if fmt == "json":
@@ -594,7 +571,14 @@ class TestBounds:
         "args,named",
         [
             (["formulas", "--max-c", "2"], "'--max-c': 2 is not in the range x>=3"),
-            (["verify", "--max-n", "0"], "'--max-n': 0 is not in the range x>=1"),
+            (
+                ["verify", "--max-n", "0"],
+                f"'--max-n': 0 is not in the range 1<=x<={cli.MAX_IDENTITY_N}",
+            ),
+            (
+                ["verify", "--identities", "--max-n", str(cli.MAX_IDENTITY_N + 1)],
+                f"'--max-n': {cli.MAX_IDENTITY_N + 1} is not in the range 1<=x<={cli.MAX_IDENTITY_N}",
+            ),
             (
                 ["enumerate", "--crossings", "40"],
                 f"'--crossings': 40 is not in the range 3<=x<={cli.MAX_ENUM_C}",
@@ -604,7 +588,7 @@ class TestBounds:
                 "'--threads': '0' is not a positive integer or 'auto'",
             ),
         ],
-        ids=["formulas", "verify", "enumerate", "threads"],
+        ids=["formulas", "verify", "identities", "enumerate", "threads"],
     )
     def test_out_of_range_exits_2_before_any_work(self, runner, monkeypatch, args, named):
         def refuse(*_, **__):
@@ -612,6 +596,7 @@ class TestBounds:
 
         monkeypatch.setattr(cli, "tallies", refuse)
         monkeypatch.setattr(cli, "_class_keys", refuse)
+        monkeypatch.setattr(cli.identities, "identity_suite", refuse)
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert named in result.output

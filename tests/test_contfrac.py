@@ -112,14 +112,17 @@ class TestValidate:
         seq = EvenSequence.from_text("2,-2,4,-6")
         assert tuple(seq) == (2, -2, 4, -6)
         assert seq.to_text() == "2,-2,4,-6"
+        assert tuple(EvenSequence.from_text(" +2 , -2 ")) == (2, -2)
 
     @given(even_sequences(max_abs=10**20))
     def test_text_round_trip_property(self, seq):
         assert EvenSequence.from_text(seq.to_text()) == seq
 
     def test_bad_token(self):
-        with pytest.raises(SequenceError, match="x"):
-            EvenSequence.from_text("2,x")
+        # int() alone takes digit-group underscores and non-ASCII digits.
+        for text, token in [("2,x", "x"), ("2_0,2", "2_0"), ("２,２", "２")]:
+            with pytest.raises(SequenceError, match=f"invalid integer token '{token}'"):
+                EvenSequence.from_text(text)
 
     def test_bool_entry_is_not_an_integer(self):
         with pytest.raises(RejectOddEntry) as err:

@@ -18,11 +18,8 @@ from twobridge import (
     genus,
     sign_changes,
     stratum_closed_A,
-    stratum_closed_B,
     tallies,
     tally,
-    tg_closed,
-    tk_closed,
 )
 from twobridge import enumeration
 from twobridge.enumeration import (
@@ -251,20 +248,6 @@ class TestTally:
     def test_deterministic(self):
         assert tally(10, D) == tally(10, D)
 
-    def test_parallel_equals_serial(self):
-        for c in (9, 12):
-            for mode in (D, C):
-                assert tally(c, mode, threads=2) == tally(c, mode, threads=1)
-
-    def test_by_ell_matches_stratum_closed_forms(self):
-        for c in range(3, 15):
-            t = tally(c, D)
-            k, parity = c // 2, ("even" if c % 2 == 0 else "odd")
-            for l in range(k):
-                count, gsum = t.by_ell.get(2 * l + c % 2, (0, 0))
-                assert stratum_closed_A(k, l, parity) == count, (c, l)
-                assert stratum_closed_B(k, l, parity) == gsum, (c, l)
-
     def test_top_stratum_empty_at_even_c(self):
         # The reconciled reading of the garbled boundary expression,
         # 2^(k-l-2) C(k+l-1, k-l-1) - 1/2 at l = k-1, evaluates to zero,
@@ -278,13 +261,6 @@ class TestTally:
             assert reconciled == 0
             assert stratum_closed_A(k, k - 1, "even") == 0
             assert c - 2 not in tally(c, D).by_ell
-
-    def test_matches_closed_forms(self):
-        for c in range(3, 15):
-            t = tally(c, D)
-            assert t.knot_count == tk_closed(c)
-            assert t.total_genus == tg_closed(c)
-
 
 class TestTallies:
     def test_orbit_minima_equal_set_dedupe_per_unit(self):

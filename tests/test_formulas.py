@@ -139,11 +139,6 @@ class TestAverages:
         assert residual(c) == expected
         assert correction(c) == expected
 
-    def test_residual_equals_correction(self):
-        for c in range(3, 2001):
-            assert residual(c) == correction(c)
-            assert residual_mirror(c) == correction_mirror(c)
-
     def test_consistency_triangle(self):
         for c in range(3, 10_001):
             assert avg_genus(c) * tk_closed(c) == tg_closed(c)
@@ -151,13 +146,6 @@ class TestAverages:
     def test_averages_agree_at_odd_c(self):
         for c in range(3, 2001, 2):
             assert avg_genus_mirror(c) == avg_genus(c)
-
-
-class TestMirrorRelations:
-    def test_odd_crossings_halve_exactly(self):
-        for c in range(3, 10_001, 2):
-            assert tk_closed(c) == 2 * tk_mirror_closed(c)
-            assert tg_closed(c) == 2 * tg_mirror_closed(c)
 
 
 class TestStratumClosedForms:
