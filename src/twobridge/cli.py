@@ -13,7 +13,9 @@ default).  A command starts at most one process pool, with no more
 workers than the CPUs the process may run on.  Rationals print as "p/q"
 in tables and CSV; JSON carries them as {"num": "...", "den": "..."}
 decimal strings, and unbounded integer columns as decimal strings, so
-consumers never face 64-bit overflow.
+consumers never face 64-bit overflow.  Each command lifts the int/text
+digit limit of Python 3.11+ once, in the group callback, and restores it
+when its context closes, so it reads and prints integers of any length.
 
 Output is written in blocks of about BLOCK_CHARS characters as rows are
 computed: ``formulas`` and ``table1`` in every format, and the class
@@ -33,7 +35,6 @@ module loads only when ``--threads`` above 1 starts a pool.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import sys
@@ -87,17 +88,17 @@ def _cell_text(v) -> str:
     return str(v)
 
 
-def _cell_json(v):
-    # Counts can exceed 2^53 for large c, so integers travel as strings.
-    if isinstance(v, Fraction):
-        return {"num": str(v.numerator), "den": str(v.denominator)}
-    if isinstance(v, int) and not isinstance(v, bool):
-        return str(v)
-    return v
+def _cell_json(v: Fraction) -> dict:
+    # The default hook of json.dumps, which calls it only for values it cannot
+    # encode: of a record's, a Fraction alone.
+    return {"num": str(v.numerator), "den": str(v.denominator)}
 
 
 def _json_field(v) -> str:
-    """``_cell_json(v)`` as json.dumps(..., indent=2) prints it in a list's record."""
+    """A cell as json.dumps(..., indent=2) prints it in a list's record.
+
+    Integers exceed 2^53 for large c, so they travel as decimal strings.
+    """
     if v is None:
         return "null"
     if isinstance(v, bool):
@@ -107,24 +108,6 @@ def _json_field(v) -> str:
     if isinstance(v, Fraction):
         return f'{{\n      "num": "{v.numerator}",\n      "den": "{v.denominator}"\n    }}'
     return json.dumps(v)  # no indent, so the C encoder quotes strings
-
-
-@contextlib.contextmanager
-def _unbounded_int_text():
-    """Lift the int-to-str digit limit of Python 3.11+ for output, then restore it.
-
-    Closed-form values pass its default of 4300 digits from c = 14277 on.
-    """
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:  # Python 3.10 has no limit
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(old)
 
 
 def _echo_blocks(chunks):
@@ -159,7 +142,6 @@ def _json_chunks(rows, columns):
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-@_unbounded_int_text()
 def _emit_rows(rows, columns, fmt):
     """Print ``rows``, an iterable of dicts read once, under the given columns.
 
@@ -189,7 +171,6 @@ def _emit_rows(rows, columns, fmt):
         _echo_blocks(line.rstrip() + "\n" for line in lines)
 
 
-@_unbounded_int_text()
 def _emit_record(row, fmt):
     """Print one record: a JSON object, a one-row CSV, or key/value lines.
 
@@ -244,6 +225,13 @@ def _parse_threads(ctx, param, value: str) -> int:
 def main(ctx, fmt, threads):
     """Exact 2-bridge knot counts, genera and verification sweeps."""
     ctx.obj = {"fmt": fmt, "threads": threads}
+    # Python 3.11+ refuses int/text conversion past 4300 digits, which closed
+    # forms pass from c = 14277 on and --cf entries at any length: lift the
+    # limit for the command, and restore it when its context closes.
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
+        old = sys.get_int_max_str_digits()
+        ctx.call_on_close(lambda: sys.set_int_max_str_digits(old))
+        sys.set_int_max_str_digits(0)
 
 
 def _formula_row(c: int) -> dict:
@@ -352,17 +340,12 @@ def cmd_knot(ctx, text):
         seq = EvenSequence.from_text(text)
     except SequenceError as exc:
         raise click.ClickException(str(exc))
-    # The crossing number sums the entries, which are unbounded user input, so
-    # it travels as text, made past the digit limit that parsing above keeps;
-    # genus and sign changes are bounded by the entry count.
-    with _unbounded_int_text():
-        crossings = str(crossing_number(seq))
     row = {
         "sequence": seq.to_text(),
         "value": cf_value(seq),
         "genus": genus(seq),
         "sign_changes": sign_changes(seq),
-        "crossing_number": crossings,
+        "crossing_number": str(crossing_number(seq)),  # sums unbounded entries
         "canonical_mirror_distinct": canonicalize(seq, Mode.MIRROR_DISTINCT).to_text(),
         "canonical_mirror_collapsed": canonicalize(seq, Mode.MIRROR_COLLAPSED).to_text(),
         "amphichiral": is_amphichiral(seq),

@@ -57,6 +57,15 @@ class NoEvenExpansion(ValueError):
     """
 
 
+def _shown(v) -> str:
+    """``repr(v)`` for an error message, cut to a few dozen characters."""
+    try:
+        text = repr(v)
+    except ValueError:  # an int past the int/text digit limit of Python 3.11+
+        return f"<int of {v.bit_length()} bits>"
+    return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
+
+
 class EvenSequence(tuple):
     """Immutable sequence of nonzero even integers with even length >= 2.
 
@@ -77,11 +86,11 @@ class EvenSequence(tuple):
                 continue  # a bool is 0 or 1, so it never gets past here
             if not isinstance(e, int) or isinstance(e, bool):
                 raise RejectOddEntry(
-                    f"entry {e!r} at index {i} is not an integer"
+                    f"entry {_shown(e)} at index {i} is not an integer"
                 )
             if e == 0:
                 raise RejectZeroEntry(f"entry at index {i} is zero")
-            raise RejectOddEntry(f"entry {e} at index {i} is odd")
+            raise RejectOddEntry(f"entry {_shown(e)} at index {i} is odd")
         if len(entries) < 2 or len(entries) % 2:
             raise RejectOddLength(
                 f"length {len(entries)} is not an even number >= 2"
@@ -95,15 +104,16 @@ class EvenSequence(tuple):
         Each token, stripped of spaces, is an optional sign and ASCII
         digits: int() alone would also take ``2_0`` and non-ASCII digits.
         """
-        tokens = [t.strip() for t in text.split(",")]
         entries = []
-        for tok in tokens:
+        for i, tok in enumerate(t.strip() for t in text.split(",")):
+            if not re.fullmatch(r"[+-]?[0-9]+", tok):
+                raise SequenceError(f"invalid integer token {_shown(tok)} at index {i}")
             try:
-                if not re.fullmatch(r"[+-]?[0-9]+", tok):
-                    raise ValueError
                 entries.append(int(tok))
-            except ValueError:
-                raise SequenceError(f"invalid integer token {tok!r}") from None
+            except ValueError:  # a well-formed token: only the digit limit refuses it
+                raise SequenceError(
+                    f"entry at index {i} has {len(tok.lstrip('+-'))} digits, more than"
+                    " this interpreter converts from text") from None
         return cls(entries)
 
     def to_text(self) -> str:

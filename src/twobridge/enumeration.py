@@ -273,8 +273,6 @@ def tallies(cs, threads: int = 1) -> dict:
     acc = {(c, mode): [0, 0, {}, {}] for c in cs for mode in Mode}
     for (c, ell, m), counts in zip(units, minima):
         for mode, n in counts.items():
-            if n == 0:
-                continue
             a = acc[c, mode]
             a[0] += n
             a[1] += m * n

@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
@@ -87,10 +88,19 @@ def csv_value(cell):
 FORMATS = ["table", "csv", "json"]
 
 
+def json_cell(v):
+    """A cell as the JSON emitters carry it: ints as decimal strings, Fractions as num/den."""
+    if isinstance(v, Fraction):
+        return {"num": str(v.numerator), "den": str(v.denominator)}
+    if isinstance(v, int) and not isinstance(v, bool):
+        return str(v)
+    return v
+
+
 def reference_output(rows, columns, fmt):
     """What _emit_rows prints for a row list, built in one piece."""
     if fmt == "json":
-        records = [{k: cli._cell_json(r.get(k)) for k in columns} for r in rows]
+        records = [{k: json_cell(r.get(k)) for k in columns} for r in rows]
         return json.dumps(records, indent=2) + "\n"
     text = [[cli._cell_text(r.get(k)) for k in columns] for r in rows]
     if fmt == "csv":
@@ -291,7 +301,7 @@ class TestJsonChunks:
     @given(json_tables())
     def test_equals_json_dumps(self, table):
         rows, columns = table
-        records = [{k: cli._cell_json(r.get(k)) for k in columns} for r in rows]
+        records = [{k: json_cell(r.get(k)) for k in columns} for r in rows]
         want = json.dumps(records, indent=2) + "\n"
         assert "".join(cli._json_chunks(iter(rows), columns)) == want
 
@@ -340,26 +350,68 @@ class TestKnot:
 
 
 class TestLongIntegers:
-    # Python 3.11+ refuses int-to-str conversion past 4300 digits unless
-    # the limit is lifted; closed forms pass it from c = 14277 on.
-    DIGITS = "1" + "0" * 5000
+    # Python 3.11+ refuses int/text conversion past a digit limit (4300 by
+    # default, 640 at least) unless it is lifted, as every command does.
+    # c = 2130 is the first c whose tk passes 640 digits (tg passes at 2121).
+    C = 2130
 
-    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-    def test_rows_over_5000_digits(self, capsys, fmt):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        big = 10**5000
-        row = {"c": 3, "tk": big, "avg": Fraction(big + 1, 3)}
-        _emit_rows([row], ["c", "tk", "avg"], fmt)
-        out = capsys.readouterr().out
-        num = self.DIGITS[:-1] + "1"
+    @pytest.fixture(scope="class")
+    def last_row(self):
+        # Class-scoped, so made before int_digit_limit lowers the limit.
+        c = self.C
+        avg, avg_mirror = formulas.avg_genus(c), formulas.avg_genus_mirror(c)
+        row = {"c": c, "tk": formulas.tk_closed(c), "tg": formulas.tg_closed(c),
+               "avg_genus": avg, "tk_mirror": formulas.tk_mirror_closed(c),
+               "tg_mirror": formulas.tg_mirror_closed(c), "avg_genus_mirror": avg_mirror}
+        assert min(len(str(row["tk"])), len(str(row["tg"]))) > 640
+        return ({k: cli._cell_text(v) for k, v in row.items()},
+                {k: json_cell(v) for k, v in row.items()})
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_formulas_past_the_limit(self, runner, last_row, int_digit_limit, fmt):
+        result = run(runner, "--format", fmt, "formulas", "--max-c", str(self.C))
+        assert result.exit_code == 0
+        text, record = last_row
         if fmt == "json":
-            row = json.loads(out)[0]
-            assert row["tk"] == self.DIGITS
-            assert row["avg"] == {"num": num, "den": "3"}
+            assert json.loads(result.output)[-1] == record
+        elif fmt == "csv":
+            assert parse_csv(result.output)[-1] == text
         else:
-            assert self.DIGITS in out
-            assert f"{num}/3" in out
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+            assert result.output.splitlines()[-1].split() == list(text.values())
+        assert sys.get_int_max_str_digits() == int_digit_limit
+
+    @pytest.mark.parametrize(
+        "args,status",
+        [(["formulas", "--max-c", "5"], 0), (["knot", "--cf", "2x"], 1),
+         (["formulas", "--max-c", "2"], 2)],
+        ids=["ok", "click_exception", "usage_error"],
+    )
+    def test_limit_restored(self, runner, int_digit_limit, args, status):
+        assert runner.invoke(main, args).exit_code == status
+        assert sys.get_int_max_str_digits() == int_digit_limit
+        # In process without standalone mode, as perfbench/layers.run_cli calls it.
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(click.ClickException):
+            main.main(args, prog_name="twobridge", standalone_mode=False)
+        assert sys.get_int_max_str_digits() == int_digit_limit
+
+    def test_limit_restored_after_failing_verify(self, runner, int_digit_limit, corrupt_tallies):
+        assert run(runner, "verify", "--max-c", "6", "--max-n", "4").exit_code == 6
+        assert sys.get_int_max_str_digits() == int_digit_limit
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_knot_entry_past_the_limit(self, runner, int_digit_limit, fmt):
+        entry = "2" * 5000
+        result = run(runner, "--format", fmt, "knot", "--cf", f"{entry},2")
+        assert result.exit_code == 0
+        if fmt == "json":
+            fields = json.loads(result.output)
+        elif fmt == "csv":
+            fields = parse_csv(result.output)[0]
+        else:
+            fields = dict(line.split(None, 1) for line in result.output.strip().splitlines())
+        assert fields["sequence"] == f"{entry},2"
+        assert fields["crossing_number"] == "2" * 4999 + "4"
+        assert sys.get_int_max_str_digits() == int_digit_limit
 
     def test_knot_value_over_4300_digits(self, runner):
         entry = str(2 * 10**400)
@@ -370,8 +422,8 @@ class TestLongIntegers:
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_knot_crossing_number_over_4300_digits(self, runner, fmt):
-        # Each entry has 4300 digits, the most that parsing accepts, and their
-        # sum 2 * 88...80 = 177...760 has 4301, past the limit of Python 3.11+.
+        # Each entry has 4300 digits, within the default limit of Python 3.11+,
+        # and their sum 2 * 88...80 = 177...760 has 4301, past it.
         entry = "8" * 4299 + "0"
         result = run(runner, "--format", fmt, "knot", "--cf", f"{entry},{entry}")
         assert result.exit_code == 0

@@ -124,6 +124,28 @@ class TestValidate:
             with pytest.raises(SequenceError, match=f"invalid integer token '{token}'"):
                 EvenSequence.from_text(text)
 
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            # Well formed, so only int()'s digit limit refuses it.
+            ("2,-" + "2" * 4301, "entry at index 1 has 4301 digits"),
+            ("2," + "x" * 5000, "invalid integer token 'xxx"),
+            ("3" * 600 + ",2", "entry 333"),
+        ],
+        ids=["past_the_limit", "bad_token", "long_odd_entry"],
+    )
+    def test_long_token_named_briefly(self, int_digit_limit, text, named):
+        with pytest.raises(SequenceError) as err:
+            EvenSequence.from_text(text)
+        message = str(err.value)
+        assert message.startswith(named) and len(message) < 200, message
+
+    def test_odd_entry_past_the_limit(self, int_digit_limit):
+        # str() of the entry would raise; the message gives its size instead.
+        with pytest.raises(RejectOddEntry) as err:
+            EvenSequence([2, 10**5000 + 1])
+        assert str(err.value) == "entry <int of 16610 bits> at index 1 is odd"
+
     def test_bool_entry_is_not_an_integer(self):
         with pytest.raises(RejectOddEntry) as err:
             EvenSequence([True, True])
