@@ -7,15 +7,16 @@ Usage:
     twobridge knot --cf "2,-2"             # invariants of one presentation
     twobridge verify --max-c 14 --max-n 32 # identity and oracle sweeps
 
-Global flags: ``--format table|csv|json`` and ``--threads T`` (T may be
-"auto"; the TWOBRIDGE_THREADS environment variable overrides the
-default).  A command starts at most one process pool, with no more
-workers than the CPUs the process may run on.  Rationals print as "p/q"
-in tables and CSV; JSON carries them as {"num": "...", "den": "..."}
-decimal strings, and unbounded integer columns as decimal strings, so
-consumers never face 64-bit overflow.  Each command lifts the int/text
-digit limit of Python 3.11+ once, in the group callback, and restores it
-when its context closes, so it reads and prints integers of any length.
+Global flags: ``--format table|csv|json`` and ``--threads T`` (T is
+"auto" or a sign and ASCII digits, at least 1; the TWOBRIDGE_THREADS
+environment variable overrides the default).  A command starts at most
+one process pool, with no more workers than the CPUs the process may run
+on.  Rationals print as "p/q" in tables and CSV; JSON carries them as
+{"num": "...", "den": "..."} decimal strings, and unbounded integer
+columns as decimal strings, so consumers never face 64-bit overflow.
+Each command lifts the int/text digit limit of Python 3.11+ once, in the
+group callback, before it parses ``--threads``, and restores it when its
+context closes, so it reads and prints integers of any length.
 
 Output is written in blocks of about BLOCK_CHARS characters as rows are
 computed: ``formulas`` and ``table1`` in every format, and the class
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -49,6 +51,7 @@ from . import formulas, identities
 from .contfrac import (
     SequenceError,
     EvenSequence,
+    _shown,
     cf_value,
     crossing_number,
     genus,
@@ -191,17 +194,16 @@ def _ok_text(ok: bool) -> str:
     return "ok" if ok else "MISMATCH"
 
 
-def _parse_threads(ctx, param, value: str) -> int:
-    # A callback, so click's error names --threads, also for TWOBRIDGE_THREADS.
+def _parse_threads(value: str) -> int:
+    # The token rule of EvenSequence.from_text: int() alone would also take
+    # "1_0" and non-ASCII digits.  Called once the digit limit is lifted.
     if value == "auto":
         return _cpu_count()
-    try:
-        n = int(value)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise click.BadParameter(f"{value!r} is not a positive integer or 'auto'")
-    return n
+    token = value.strip()
+    if re.fullmatch(r"[+-]?[0-9]+", token) and int(token) >= 1:
+        return int(token)
+    raise click.BadParameter(f"{_shown(value)} is not a positive integer or 'auto'",
+                             param_hint="'--threads'")
 
 
 @click.group()
@@ -218,20 +220,19 @@ def _parse_threads(ctx, param, value: str) -> int:
     default="1",
     show_default=True,
     envvar="TWOBRIDGE_THREADS",
-    callback=_parse_threads,
     help="Worker processes for enumeration, at most one per CPU ('auto' for CPU count).",
 )
 @click.pass_context
 def main(ctx, fmt, threads):
     """Exact 2-bridge knot counts, genera and verification sweeps."""
-    ctx.obj = {"fmt": fmt, "threads": threads}
     # Python 3.11+ refuses int/text conversion past 4300 digits, which closed
-    # forms pass from c = 14277 on and --cf entries at any length: lift the
-    # limit for the command, and restore it when its context closes.
+    # forms pass from c = 14277 on and --cf and --threads values at any length:
+    # lift the limit for the command, and restore it when its context closes.
     if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
         old = sys.get_int_max_str_digits()
         ctx.call_on_close(lambda: sys.set_int_max_str_digits(old))
         sys.set_int_max_str_digits(0)
+    ctx.obj = {"fmt": fmt, "threads": _parse_threads(threads)}
 
 
 def _formula_row(c: int) -> dict:

@@ -66,6 +66,14 @@ def _shown(v) -> str:
     return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
 
 
+def _require_int(name: str, value, low: int | None = None):
+    """Refuse, by name, a non-int argument (a bool too) or one below ``low``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} {_shown(value)} is not an int")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, not {_shown(value)}")
+
+
 class EvenSequence(tuple):
     """Immutable sequence of nonzero even integers with even length >= 2.
 
@@ -133,9 +141,9 @@ def cf_value(seq) -> Fraction:
 
 
 def _exact(x) -> Fraction:
-    # A float is a dyadic approximation, never the fraction meant.
-    if isinstance(x, float):
-        raise TypeError(f"{x!r} is a float; pass a Fraction or an int")
+    # A float is a dyadic approximation, never the fraction meant, and a bool no number.
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"{x!r} is a {type(x).__name__}; pass a Fraction or an int")
     return Fraction(x)
 
 
@@ -150,7 +158,7 @@ def even_expansion(x) -> EvenSequence:
     strictly decreases in absolute value, so the loop terminates.  For
     admissible inputs the parities of numerator and denominator
     alternate in a way that makes every quotient even and nonzero and
-    the final length even.  A float is refused.
+    the final length even.  A float or a bool is refused.
     """
     x = _exact(x)
     if not 0 < abs(x) < 1:

@@ -20,8 +20,8 @@ from itertools import accumulate, combinations
 from math import comb
 from operator import and_, le, mul
 
-from .contfrac import EvenSequence
-from .knots import KnotClass, Mode, _require_c, _require_mode
+from .contfrac import EvenSequence, _require_int
+from .knots import KnotClass, Mode, _require_mode
 
 
 def __getattr__(name: str):
@@ -65,7 +65,7 @@ def sign_patterns(length: int, ell: int):
 
 def strata(c: int):
     """Feasible (ell, m) pairs for crossing number c, in generation order."""
-    _require_c(c)
+    _require_int("crossing number", c, 3)
     for ell in range(c % 2, c - 1, 2):
         for m in range(ell // 2 + 1, (c + ell) // 4 + 1):
             yield ell, m
@@ -252,10 +252,7 @@ def tallies(cs, threads: int = 1) -> dict:
     order, so the outcome is identical to the serial run.  A ``threads``
     that is not a positive ``int`` is refused before any unit runs.
     """
-    if not isinstance(threads, int) or isinstance(threads, bool):
-        raise TypeError(f"threads {threads!r} is not an int")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, not {threads}")
+    _require_int("threads", threads, 1)
     cs = list(dict.fromkeys(cs))
     units = [(c, ell, m) for c in cs for ell, m in strata(c)]
     workers = _worker_count(threads, len(units))

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .contfrac import _require_int, _shown
 from .identities import binom
-from .knots import Mode, _require_c
+from .knots import Mode
 
 
 class InexactDivision(ArithmeticError):
@@ -36,7 +37,7 @@ def _exact_div(n: int, d: int) -> int:
 
 def tk_closed(c: int) -> int:
     """Number of 2-bridge knots with crossing number c, mirrors distinct."""
-    _require_c(c)
+    _require_int("crossing number", c, 3)
     if c % 2 == 0:
         return _exact_div((1 << (c - 2)) - 1, 3)
     if c % 4 == 1:
@@ -46,7 +47,7 @@ def tk_closed(c: int) -> int:
 
 def tg_closed(c: int) -> int:
     """Total genus of all 2-bridge knots with crossing number c, mirrors distinct."""
-    _require_c(c)
+    _require_int("crossing number", c, 3)
     lead = (3 * c + 1) << (c - 2)
     if c % 2 == 0:
         return _exact_div(lead - 16, 36)
@@ -58,7 +59,7 @@ def tg_closed(c: int) -> int:
 
 def tk_mirror_closed(c: int) -> int:
     """Number of 2-bridge knots with crossing number c, mirrors collapsed."""
-    _require_c(c)
+    _require_int("crossing number", c, 3)
     r = c % 4
     if r == 0:
         return _exact_div((1 << (c - 3)) + (1 << ((c - 4) // 2)), 3)
@@ -75,7 +76,7 @@ def tg_mirror_closed(c: int) -> int:
     For odd c this is exactly half the mirror-distinct total, since no
     knot with odd crossing number equals its own mirror image.
     """
-    _require_c(c)
+    _require_int("crossing number", c, 3)
     r = c % 4
     lead = (3 * c + 1) << (c - 2)
     if r == 0:
@@ -89,7 +90,7 @@ def tg_mirror_closed(c: int) -> int:
 
 def correction(c: int) -> Fraction:
     """The exponentially small term in the mirror-distinct average genus."""
-    _require_c(c)
+    _require_int("crossing number", c, 3)
     if c % 2 == 0:
         return Fraction(c - 5, (1 << c) - 4)
     if c % 4 == 1:
@@ -102,7 +103,7 @@ def correction(c: int) -> Fraction:
 
 def correction_mirror(c: int) -> Fraction:
     """The exponentially small term in the mirror-collapsed average genus."""
-    _require_c(c)
+    _require_int("crossing number", c, 3)
     r = c % 4
     if r == 0:
         return Fraction((1 << ((c - 4) // 2)) - 4, 3 * ((1 << (c - 1)) + (1 << (c // 2))))
@@ -155,16 +156,12 @@ def residual_mirror(c: int) -> Fraction:
 
 
 def _check_stratum_args(k: int, l: int, parity: str):
-    for name, value in (("k", k), ("l", l)):
-        if not isinstance(value, int) or isinstance(value, bool):  # True would count as 1
-            raise TypeError(f"{name}={value!r} is not an int")
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    kmin = 2 if parity == "even" else 1
-    if k < kmin:
-        raise ValueError(f"k={k} gives a crossing number below 3")
-    if not 0 <= l <= k - 1:
-        raise ValueError(f"l={l} outside [0, {k - 1}]")
+    _require_int("k", k, 2 if parity == "even" else 1)  # exactly c >= 3
+    _require_int("l", l, 0)
+    if l > k - 1:
+        raise ValueError(f"l must be <= k - 1 = {_shown(k - 1)}, not {_shown(l)}")
 
 
 def stratum_closed_A(k: int, l: int, parity: str) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .contfrac import _exact
+from .contfrac import _exact, _require_int
 
 
 def binom(n: int, k: int) -> int:
@@ -89,8 +89,7 @@ def _report(identity_id: str, lo: int, n_max: int, x_values: tuple, failures,
     ``n_max`` is an int (a bool is refused) and the range is nonempty;
     an empty range is refused, not reported as a pass.
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise TypeError(f"n_max={n_max!r} is not an int")
+    _require_int("n_max", n_max)
     n_range = (lo, n_max - below)
     if n_range[0] > n_range[1]:
         raise ValueError(f"{identity_id}: n in [{n_range[0]}, {n_range[1]}] is empty")

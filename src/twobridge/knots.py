@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from operator import neg
 
-from .contfrac import EvenSequence, SequenceError
+from .contfrac import EvenSequence, SequenceError, _shown
 
 
 class Mode(enum.Enum):
@@ -26,14 +26,7 @@ class Mode(enum.Enum):
 
 def _require_mode(mode):
     if not isinstance(mode, Mode):  # a letter would silently get the collapsed rules
-        raise TypeError(f"mode {mode!r} is not a Mode member")
-
-
-def _require_c(c: int):
-    if not isinstance(c, int):
-        raise TypeError(f"crossing number {c!r} is not an int")
-    if c < 3:
-        raise ValueError("crossing number must be >= 3")
+        raise TypeError(f"mode {_shown(mode)} is not a Mode member")
 
 
 def _orbit_min(entries: tuple, mode: Mode) -> tuple:
@@ -61,11 +54,12 @@ class KnotClass:
         try:
             mode = Mode(letter)
         except ValueError:
-            raise SequenceError(f"invalid mode letter {letter!r}") from None
+            raise SequenceError(f"invalid mode letter {_shown(letter)}") from None
         seq = EvenSequence.from_text(body)
         kc = canonicalize(seq, mode)
         if kc.canonical != seq:
-            raise SequenceError(f"{text!r} is not canonical; its canonical form is {kc.to_text()}")
+            raise SequenceError(
+                f"{_shown(text)} is not canonical; its canonical form is {kc.to_text()}")
         return kc
 
 

@@ -383,8 +383,8 @@ class TestLongIntegers:
     @pytest.mark.parametrize(
         "args,status",
         [(["formulas", "--max-c", "5"], 0), (["knot", "--cf", "2x"], 1),
-         (["formulas", "--max-c", "2"], 2)],
-        ids=["ok", "click_exception", "usage_error"],
+         (["formulas", "--max-c", "2"], 2), (["--threads", "0", "formulas", "--max-c", "5"], 2)],
+        ids=["ok", "click_exception", "usage_error", "bad_threads"],
     )
     def test_limit_restored(self, runner, int_digit_limit, args, status):
         assert runner.invoke(main, args).exit_code == status
@@ -574,7 +574,36 @@ class TestTable1:
         assert asked == [2, 1, 3]
         bad = runner.invoke(main, ["table1", "--max-c", "4"], env={"TWOBRIDGE_THREADS": "0"})
         assert bad.exit_code == 2
-        assert "Invalid value for '--threads': '0'" in bad.output
+        assert ("Invalid value for '--threads': '0' is not a positive integer or 'auto'"
+                in bad.output)
+
+
+class TestThreadsText:
+    """--threads, or TWOBRIDGE_THREADS, is 'auto' or a sign and ASCII digits, at least 1."""
+
+    @staticmethod
+    def invoke(runner, value, via):
+        args = ["formulas", "--max-c", "4"]
+        if via == "flag":
+            return runner.invoke(main, ["--threads", value, *args])
+        return runner.invoke(main, args, env={"TWOBRIDGE_THREADS": value})
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_value_past_the_digit_limit_parses(self, runner, via):
+        result = self.invoke(runner, "9" * 5000, via)
+        assert result.exit_code == 0, result.output
+        assert result.output == run(runner, "formulas", "--max-c", "4").output
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "value", ["1_0", "\u0662", "x" * 5000], ids=["underscore", "arabic_indic_two", "5000x"]
+    )
+    def test_bad_token_refused_briefly(self, runner, value, via):
+        # int() alone would take "1_0" as 10 and the Arabic-Indic digit as 2.
+        result = self.invoke(runner, value, via)
+        assert result.exit_code == 2
+        assert "Invalid value for '--threads': " in result.output
+        assert len(result.output.encode()) < 300, result.output
 
 
 class TestVerify:

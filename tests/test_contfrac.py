@@ -234,6 +234,11 @@ class TestEvenExpansion:
         with pytest.raises(TypeError, match=f"{x!r} is a float"):
             even_expansion(x)
 
+    def test_bool_refused(self):
+        # Not taken as 1, which is out of range for another reason.
+        with pytest.raises(TypeError, match="^True is a bool; pass a Fraction or an int$"):
+            even_expansion(True)
+
     def test_odd_over_odd_has_no_expansion(self):
         with pytest.raises(NoEvenExpansion):
             even_expansion(Fraction(1, 3))

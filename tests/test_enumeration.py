@@ -134,19 +134,6 @@ class TestEnumerateSequences:
         with pytest.raises(ValueError):
             list(enumerate_sequences(2))
 
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            lambda: tallies([7.0]),
-            lambda: next(enumerate_sequences(7.0)),
-            lambda: next(enumerate_classes(7.0, D)),
-        ],
-        ids=["tallies", "enumerate_sequences", "enumerate_classes"],
-    )
-    def test_non_int_c_named(self, entry):
-        with pytest.raises(TypeError, match="crossing number 7.0 is not an int"):
-            entry()
-
 
 class TestBlocks:
     def test_equal_per_sequence_reference(self):

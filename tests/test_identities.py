@@ -134,6 +134,18 @@ def test_float_refused(call):
 
 
 @pytest.mark.parametrize(
+    "call",
+    [lambda: alpha_sum(3, True), lambda: beta_sum(3, False),
+     lambda: alpha_recurrence_check(8, True)],
+    ids=["alpha_sum", "beta_sum", "alpha_recurrence_check"],
+)
+def test_bool_refused(call):
+    # True would be taken as x = 1: alpha_sum(3, True) would be 8.
+    with pytest.raises(TypeError, match=r"^(True|False) is a bool; pass a Fraction or an int$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "call,empty",
     [
         (lambda: alpha_recurrence_check(1, 2), r"n in \[1, 0\] is empty"),
@@ -167,7 +179,7 @@ def test_non_int_n_max_refused_before_any_sum(check, n_max, monkeypatch):
 
     monkeypatch.setattr(identities, "binom", refuse)
     monkeypatch.setattr(identities.math, "comb", refuse)
-    with pytest.raises(TypeError, match=f"^n_max={n_max!r} is not an int$"):
+    with pytest.raises(TypeError, match=f"^n_max {n_max!r} is not an int$"):
         check(n_max)
 
 

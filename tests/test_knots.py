@@ -88,6 +88,20 @@ class TestCanonicalize:
         with pytest.raises(SequenceError, match="'X'"):
             KnotClass.from_text("X:2,2")
 
+    def test_long_text_named_briefly(self):
+        with pytest.raises(SequenceError) as err:
+            KnotClass.from_text("x" * 5000 + ":2,2")
+        message = str(err.value)
+        assert message.startswith("invalid mode letter 'xxx") and len(message) < 200, message
+        # The canonical form is printed in full; the text given is cut.
+        seq = EvenSequence((2,) + (4,) * 1999)
+        canonical = canonicalize(seq, D).to_text()
+        with pytest.raises(SequenceError) as err:
+            KnotClass.from_text(f"D:{seq.to_text()}")
+        message = str(err.value)
+        assert message.endswith(f" is not canonical; its canonical form is {canonical}")
+        assert len(message) < len(canonical) + 200
+
     @given(even_sequences(max_abs=10**6), st.sampled_from((D, C)))
     def test_text_round_trip_property(self, seq, mode):
         kc = canonicalize(seq, mode)
@@ -121,6 +135,9 @@ def test_mode_letter_refused_before_any_work(entry, monkeypatch):
     monkeypatch.setattr(enumeration, "tallies", refuse)
     with pytest.raises(TypeError, match="mode 'D' is not a Mode member"):
         entry("D")
+    with pytest.raises(TypeError) as err:
+        entry("x" * 5000)
+    assert str(err.value).startswith("mode 'xxx") and len(str(err.value)) < 200, err.value
 
 
 class TestAmphichiral:
