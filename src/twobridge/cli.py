@@ -14,9 +14,9 @@ one process pool, with no more workers than the CPUs the process may run
 on.  Rationals print as "p/q" in tables and CSV; JSON carries them as
 {"num": "...", "den": "..."} decimal strings, and unbounded integer
 columns as decimal strings, so consumers never face 64-bit overflow.
-Each command lifts the int/text digit limit of Python 3.11+ once, in the
-group callback, before it parses ``--threads``, and restores it when its
-context closes, so it reads and prints integers of any length.
+Each command lifts the int/text digit limit once, in the group callback,
+before it parses ``--threads``, and restores it when its context closes,
+so it reads and prints integers of any length.
 
 Output is written in blocks of about BLOCK_CHARS characters as rows are
 computed: ``formulas`` and ``table1`` in every format, and the class
@@ -34,11 +34,8 @@ unlinked when the table is printed or a row raises.  The process pool
 module loads only when ``--threads`` above 1 starts a pool.
 """
 
-from __future__ import annotations
-
 import csv
 import json
-import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -49,6 +46,7 @@ import click
 
 from . import formulas, identities
 from .contfrac import (
+    _INT_TOKEN,
     SequenceError,
     EvenSequence,
     _shown,
@@ -195,13 +193,13 @@ def _ok_text(ok: bool) -> str:
 
 
 def _parse_threads(value: str) -> int:
-    # The token rule of EvenSequence.from_text: int() alone would also take
-    # "1_0" and non-ASCII digits.  Called once the digit limit is lifted.
+    # The token rule of sequence text; called once the digit limit is lifted.
     if value == "auto":
         return _cpu_count()
     token = value.strip()
-    if re.fullmatch(r"[+-]?[0-9]+", token) and int(token) >= 1:
-        return int(token)
+    threads = int(token) if _INT_TOKEN.fullmatch(token) else 0
+    if threads >= 1:
+        return threads
     raise click.BadParameter(f"{_shown(value)} is not a positive integer or 'auto'",
                              param_hint="'--threads'")
 
@@ -225,13 +223,12 @@ def _parse_threads(value: str) -> int:
 @click.pass_context
 def main(ctx, fmt, threads):
     """Exact 2-bridge knot counts, genera and verification sweeps."""
-    # Python 3.11+ refuses int/text conversion past 4300 digits, which closed
+    # Python refuses int/text conversion past 4300 digits by default, which closed
     # forms pass from c = 14277 on and --cf and --threads values at any length:
     # lift the limit for the command, and restore it when its context closes.
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
-        old = sys.get_int_max_str_digits()
-        ctx.call_on_close(lambda: sys.set_int_max_str_digits(old))
-        sys.set_int_max_str_digits(0)
+    old = sys.get_int_max_str_digits()
+    ctx.call_on_close(lambda: sys.set_int_max_str_digits(old))
+    sys.set_int_max_str_digits(0)
     ctx.obj = {"fmt": fmt, "threads": _parse_threads(threads)}
 
 
@@ -306,7 +303,7 @@ def cmd_table1(ctx, max_c, cutoff):
               help="Crossing number.")
 @click.option(
     "--mode",
-    type=click.Choice(["D", "C"]),
+    type=click.Choice([m.value for m in Mode]),
     default="D",
     show_default=True,
     help="D keeps mirror images distinct, C collapses them.",

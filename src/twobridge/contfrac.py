@@ -10,8 +10,6 @@ and the elementary invariants read off a sequence: sign-change count,
 crossing number and genus.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 
@@ -61,7 +59,7 @@ def _shown(v) -> str:
     """``repr(v)`` for an error message, cut to a few dozen characters."""
     try:
         text = repr(v)
-    except ValueError:  # an int past the int/text digit limit of Python 3.11+
+    except ValueError:  # an int past the int/text digit limit
         return f"<int of {v.bit_length()} bits>"
     return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
 
@@ -72,6 +70,10 @@ def _require_int(name: str, value, low: int | None = None):
         raise TypeError(f"{name} {_shown(value)} is not an int")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, not {_shown(value)}")
+
+
+# A sign and ASCII digits: int() alone would also take "2_0" and non-ASCII digits.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 class EvenSequence(tuple):
@@ -109,12 +111,11 @@ class EvenSequence(tuple):
     def from_text(cls, text: str) -> "EvenSequence":
         """Parse the comma-separated text form, e.g. ``"2,-2,4"``.
 
-        Each token, stripped of spaces, is an optional sign and ASCII
-        digits: int() alone would also take ``2_0`` and non-ASCII digits.
+        Each token, stripped of spaces, is an optional sign and ASCII digits.
         """
         entries = []
         for i, tok in enumerate(t.strip() for t in text.split(",")):
-            if not re.fullmatch(r"[+-]?[0-9]+", tok):
+            if not _INT_TOKEN.fullmatch(tok):
                 raise SequenceError(f"invalid integer token {_shown(tok)} at index {i}")
             try:
                 entries.append(int(tok))
@@ -141,10 +142,11 @@ def cf_value(seq) -> Fraction:
 
 
 def _exact(x) -> Fraction:
-    # A float is a dyadic approximation, never the fraction meant, and a bool no number.
-    if isinstance(x, (float, bool)):
-        raise TypeError(f"{x!r} is a {type(x).__name__}; pass a Fraction or an int")
-    return Fraction(x)
+    # An int or a Fraction, nothing else: a float is a dyadic approximation, never
+    # the fraction meant; a bool is no number, and text or a Decimal no exact point.
+    if isinstance(x, Fraction) or isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"{_shown(x)} is a {type(x).__name__}; pass a Fraction or an int")
 
 
 def even_expansion(x) -> EvenSequence:
@@ -158,7 +160,8 @@ def even_expansion(x) -> EvenSequence:
     strictly decreases in absolute value, so the loop terminates.  For
     admissible inputs the parities of numerator and denominator
     alternate in a way that makes every quotient even and nonzero and
-    the final length even.  A float or a bool is refused.
+    the final length even.  Anything but an int or a Fraction (a float,
+    a bool, text) is refused.
     """
     x = _exact(x)
     if not 0 < abs(x) < 1:

@@ -10,8 +10,6 @@ which serve as the oracle for every closed form in
 :mod:`twobridge.formulas`.
 """
 
-from __future__ import annotations
-
 import importlib
 import os
 import sys
@@ -229,12 +227,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(threads: int, units: int) -> int:
-    # Never more workers than units to share or CPUs to run them: a pool
-    # starts all of its workers at once.
-    return min(threads, units, _cpu_count())
-
-
 def _unit_size(unit: tuple) -> int:
     # Sequences in a (c, ell, m) unit, up to the factor 2 of the leading
     # sign: compositions of (c + ell)/2 into 2m parts times change positions.
@@ -255,7 +247,9 @@ def tallies(cs, threads: int = 1) -> dict:
     _require_int("threads", threads, 1)
     cs = list(dict.fromkeys(cs))
     units = [(c, ell, m) for c in cs for ell, m in strata(c)]
-    workers = _worker_count(threads, len(units))
+    # Never more workers than units to share or CPUs to run them: a pool
+    # starts all of its workers at once.
+    workers = min(threads, len(units), _cpu_count())
     if workers > 1:
         # The largest units first, so no worker starts one late and runs alone.
         order = sorted(units, key=_unit_size, reverse=True)

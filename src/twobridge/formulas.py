@@ -11,8 +11,6 @@ truncating.  ``check_tallies`` compares the closed forms with one
 enumeration result; the CLI and the tests both read its verdicts.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .contfrac import _require_int, _shown

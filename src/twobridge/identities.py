@@ -8,8 +8,6 @@ accumulated as integer numerators over d^k, and the binomial tables are
 compared entry by entry as integers.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,12 +70,14 @@ def _poly_at(coeffs: list, x: Fraction) -> Fraction:
 
 
 def alpha_sum(n: int, x) -> Fraction:
-    """Sum of x^q * C(2n-1-q, q) over q = 0 .. n-1; a float x is refused."""
+    """Sum of x^q * C(2n-1-q, q) over q = 0 .. n-1, for int n >= 0 and int or Fraction x."""
+    _require_int("n", n, 0)
     return _poly_at([binom(2 * n - 1 - q, q) for q in range(n)], _exact(x))
 
 
 def beta_sum(n: int, x) -> Fraction:
-    """Sum of x^q * C(2n-q, q) over q = 0 .. n; a float x is refused."""
+    """Sum of x^q * C(2n-q, q) over q = 0 .. n, for int n >= 0 and int or Fraction x."""
+    _require_int("n", n, 0)
     return _poly_at([binom(2 * n - q, q) for q in range(n + 1)], _exact(x))
 
 

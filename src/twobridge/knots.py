@@ -8,8 +8,6 @@ a four-element orbit when they are collapsed; the representative is the
 lexicographic minimum under plain entrywise integer comparison.
 """
 
-from __future__ import annotations
-
 import enum
 from dataclasses import dataclass
 from operator import neg

@@ -350,8 +350,8 @@ class TestKnot:
 
 
 class TestLongIntegers:
-    # Python 3.11+ refuses int/text conversion past a digit limit (4300 by
-    # default, 640 at least) unless it is lifted, as every command does.
+    # Python refuses int/text conversion past a digit limit (4300 by default,
+    # 640 at least) unless it is lifted, as every command does.
     # c = 2130 is the first c whose tk passes 640 digits (tg passes at 2121).
     C = 2130
 
@@ -422,7 +422,7 @@ class TestLongIntegers:
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_knot_crossing_number_over_4300_digits(self, runner, fmt):
-        # Each entry has 4300 digits, within the default limit of Python 3.11+,
+        # Each entry has 4300 digits, within the default int/text digit limit,
         # and their sum 2 * 88...80 = 177...760 has 4301, past it.
         entry = "8" * 4299 + "0"
         result = run(runner, "--format", fmt, "knot", "--cf", f"{entry},{entry}")

@@ -29,7 +29,6 @@ from twobridge.enumeration import (
     _raw_sequences,
     _cpu_count,
     _unit_tables,
-    _worker_count,
     compositions,
     sign_patterns,
     strata,
@@ -354,41 +353,61 @@ class TestTallies:
             tally(9, D, threads=threads)
 
 
+def pool_sizes(monkeypatch, cs, threads):
+    """max_workers of each pool that tallies(cs, threads) starts.
+
+    The pool is a recording fake that maps serially and starts no
+    process; the counts must equal the serial run's.
+    """
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    assert tallies(cs, threads) == tallies(cs)
+    return started
+
+
 class TestWorkerCount:
+    # strata(3) and strata(5) hold one and two units; range(3, 13) holds 44.
     def test_huge_request_clamped_to_cpus_and_units(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_cpu_count", lambda: 4)
-        assert _worker_count(10**6, 10**6) == 4
-        assert _worker_count(10**6, 3) == 3
-        assert _worker_count(2, 10**6) == 2
-        assert _worker_count(10**6, 0) == 0
+        assert pool_sizes(monkeypatch, range(3, 13), 10**6) == [4]
+        assert pool_sizes(monkeypatch, [3, 5], 10**6) == [3]
+        assert pool_sizes(monkeypatch, range(3, 13), 2) == [2]
+        assert pool_sizes(monkeypatch, [3], 10**6) == []
 
     def test_unknown_cpu_count_means_one(self, monkeypatch):
         # A platform with no affinity call falls back on the CPU count.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _cpu_count() == 1
-        assert _worker_count(10**6, 10**6) == 1
+        assert pool_sizes(monkeypatch, range(3, 13), 10**6) == []
 
     def test_cpu_count_without_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert _cpu_count() == 6
-        assert _worker_count(10**6, 10**6) == 6
+        assert pool_sizes(monkeypatch, range(3, 13), 10**6) == [6]
 
     def test_affinity_counts_not_the_machine(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert _cpu_count() == 3
-        assert _worker_count(8, 30) == 3
+        assert pool_sizes(monkeypatch, range(3, 13), 8) == [3]
 
     def test_affinity_of_one_starts_no_pool(self, monkeypatch):
-        def refuse(*_, **__):
-            raise AssertionError("pool started")
-
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", refuse)
-        assert _worker_count(8, 30) == 1
-        found = tallies(range(3, 13), threads=2)
-        monkeypatch.undo()
-        assert found == tallies(range(3, 13))
+        assert pool_sizes(monkeypatch, range(3, 13), 8) == []

@@ -124,28 +124,6 @@ def test_alpha_sum_definition_cross_check(n):
 
 
 @pytest.mark.parametrize(
-    "call",
-    [lambda: alpha_sum(3, 0.1), lambda: beta_sum(3, 0.1), lambda: alpha_recurrence_check(8, 0.1)],
-    ids=["alpha_sum", "beta_sum", "alpha_recurrence_check"],
-)
-def test_float_refused(call):
-    with pytest.raises(TypeError, match=r"^0\.1 is a float; pass a Fraction or an int$"):
-        call()
-
-
-@pytest.mark.parametrize(
-    "call",
-    [lambda: alpha_sum(3, True), lambda: beta_sum(3, False),
-     lambda: alpha_recurrence_check(8, True)],
-    ids=["alpha_sum", "beta_sum", "alpha_recurrence_check"],
-)
-def test_bool_refused(call):
-    # True would be taken as x = 1: alpha_sum(3, True) would be 8.
-    with pytest.raises(TypeError, match=r"^(True|False) is a bool; pass a Fraction or an int$"):
-        call()
-
-
-@pytest.mark.parametrize(
     "call,empty",
     [
         (lambda: alpha_recurrence_check(1, 2), r"n in \[1, 0\] is empty"),

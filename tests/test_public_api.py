@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from twobridge import (
     enumerate_classes,
     enumerate_sequences,
     enumeration,
+    even_expansion,
     formulas,
     identities,
     identity_suite,
@@ -53,6 +55,8 @@ GUARDED = [
     ("x2_specialization_check", "n_max", identities.x2_specialization_check),
     ("weighted_sum_check", "n_max", identities.weighted_sum_check),
     ("alpha_recurrence_check", "n_max", lambda v: identities.alpha_recurrence_check(v, 2)),
+    ("alpha_sum", "n", lambda v: identities.alpha_sum(v, 2)),
+    ("beta_sum", "n", lambda v: identities.beta_sum(v, 2)),
 ]
 
 NON_INTS = {"True": True, "7.0": 7.0, "5000x": "x" * 5000}
@@ -64,7 +68,27 @@ BELOW = [
     ("k_odd", "k", 1, lambda v: stratum_closed_B(v, 0, "odd")),
     ("l", "l", 0, lambda v: stratum_closed_A(3, v, "odd")),
     ("threads", "threads", 1, lambda v: tallies([5], threads=v)),
+    ("alpha_sum", "n", 0, lambda v: identities.alpha_sum(v, 2)),
+    ("beta_sum", "n", 0, lambda v: identities.beta_sum(v, 2)),
 ]
+
+# Every public entry point that takes an exact point: its id and the call with the point v.
+EXACT = [
+    ("even_expansion", even_expansion),
+    ("alpha_sum", lambda v: identities.alpha_sum(3, v)),
+    ("beta_sum", lambda v: identities.beta_sum(3, v)),
+    ("alpha_recurrence_check", lambda v: identities.alpha_recurrence_check(8, v)),
+]
+
+# Points that are no int and no Fraction, each with its exact message where one is pinned.
+NON_EXACT = {
+    "0.1": (0.1, "0.1 is a float; pass a Fraction or an int"),
+    "True": (True, "True is a bool; pass a Fraction or an int"),
+    "False": (False, "False is a bool; pass a Fraction or an int"),
+    "text": ("2/5", None),
+    "Decimal": (Decimal("0.4"), None),
+    "5000x": ("x" * 5000, None),
+}
 
 
 def public_api_bullets():
@@ -108,4 +132,17 @@ def test_below_bound_refused_by_name(name, low, call, huge):
         call(value)
     message = str(err.value)
     assert message.startswith(f"{name} must be >= {low}, not "), message
+    assert len(message) < 200, message
+
+
+@pytest.mark.parametrize("value,pinned", list(NON_EXACT.values()), ids=list(NON_EXACT))
+@pytest.mark.parametrize("call", [row[1] for row in EXACT], ids=[row[0] for row in EXACT])
+def test_non_exact_point_refused(call, value, pinned):
+    # True would count as x = 1 (alpha_sum(3, True) would be 8), and
+    # Fraction() would parse the text and the Decimal.
+    with pytest.raises(TypeError) as err:
+        call(value)
+    message = str(err.value)
+    assert message.endswith(f" is a {type(value).__name__}; pass a Fraction or an int"), message
+    assert pinned in (None, message), message
     assert len(message) < 200, message
