@@ -229,6 +229,11 @@ class TestEvenExpansion:
         with pytest.raises(OutOfRange):
             even_expansion(Fraction(0))
 
+    @pytest.mark.parametrize("x", [0.25, 0.4])
+    def test_float_refused(self, x):
+        with pytest.raises(TypeError, match=f"{x!r} is a float"):
+            even_expansion(x)
+
     def test_odd_over_odd_has_no_expansion(self):
         with pytest.raises(NoEvenExpansion):
             even_expansion(Fraction(1, 3))
