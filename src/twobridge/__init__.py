@@ -1,8 +1,8 @@
 """Exact enumeration and closed-form counting of 2-bridge knots by crossing number.
 
 The names below are the public API that README documents.  Generation
-helpers, binomials, the single identity checks and the bug-sentinel
-errors live in their submodules.
+helpers, the single identity checks and the bug-sentinel errors live in
+their submodules.
 """
 
 from .contfrac import (

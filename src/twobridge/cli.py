@@ -98,12 +98,11 @@ def _cell_json(v: Fraction) -> dict:
 def _json_field(v) -> str:
     """A cell as json.dumps(..., indent=2) prints it in a list's record.
 
+    A cell is None, an int, a Fraction or text; no row holds a bool.
     Integers exceed 2^53 for large c, so they travel as decimal strings.
     """
     if v is None:
         return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, int):
         return f'"{v}"'
     if isinstance(v, Fraction):
@@ -131,14 +130,13 @@ def _echo_blocks(chunks):
 
 def _json_chunks(rows, columns):
     # The bytes of json.dumps(list_of_records, indent=2), one record at a
-    # time, laid out here: json.JSONEncoder runs in pure Python when given
-    # an indent, and only keys and strings need its quoting.
+    # time, laid out here for one or more columns: json.JSONEncoder runs in
+    # pure Python when given an indent, and only keys and strings need its quoting.
     keys = [json.dumps(k) + ": " for k in columns]
-    head, tail = ("{\n    ", "\n  }") if columns else ("{", "}")
     sep = "[\n  "
     for row in rows:
         fields = map(_json_field, map(row.get, columns))
-        yield sep + head + ",\n    ".join(map(str.__add__, keys, fields)) + tail
+        yield sep + "{\n    " + ",\n    ".join(map(str.__add__, keys, fields)) + "\n  }"
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 

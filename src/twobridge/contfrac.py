@@ -130,9 +130,13 @@ class EvenSequence(tuple):
 
 
 def cf_value(seq) -> Fraction:
-    """Exact value of 1/(e_1 + 1/(e_2 + ... + 1/e_n)) in lowest terms."""
+    """Exact value of 1/(e_1 + 1/(e_2 + ... + 1/e_n)) in lowest terms, for any int entries."""
+    entries = tuple(seq)
+    if type(seq) is not EvenSequence:  # whose entries were checked when it was built
+        for i, a in enumerate(entries):
+            _require_int(f"entry {i}", a)
     num, den = 0, 1
-    for a in reversed(tuple(seq)):
+    for a in reversed(entries):
         num, den = den, a * den + num
         if den == 0:
             raise DegenerateTail(

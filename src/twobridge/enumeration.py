@@ -69,15 +69,6 @@ def strata(c: int):
             yield ell, m
 
 
-def _raw_sequences(c, ell, m):
-    total = (c + ell) // 2
-    patterns = list(sign_patterns(2 * m, ell))
-    for b in compositions(total, 2 * m):
-        mags = tuple(2 * x for x in b)
-        for signs in patterns:
-            yield tuple(x * s for x, s in zip(mags, signs))
-
-
 def enumerate_sequences(c: int):
     """Yield every valid even sequence with crossing number ``c`` exactly once.
 
@@ -86,8 +77,11 @@ def enumerate_sequences(c: int):
     ascending, compositions and sign patterns lexicographic.
     """
     for ell, m in strata(c):
-        for entries in _raw_sequences(c, ell, m):
-            yield EvenSequence(entries)
+        patterns = list(sign_patterns(2 * m, ell))
+        for b in compositions((c + ell) // 2, 2 * m):
+            mags = [2 * x for x in b]
+            for signs in patterns:
+                yield EvenSequence(map(mul, mags, signs))
 
 
 def _unit_tables(ell: int, m: int):

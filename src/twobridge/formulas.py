@@ -12,9 +12,9 @@ enumeration result; the CLI and the tests both read its verdicts.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .contfrac import _require_int, _shown
-from .identities import binom
 from .knots import Mode
 
 
@@ -174,13 +174,13 @@ def stratum_closed_A(k: int, l: int, parity: str) -> int:
     if parity == "even":
         if l == k - 1:
             return 0
-        return 2 ** (k - l - 2) * binom(k + l - 1, k - l - 1)
+        return 2 ** (k - l - 2) * comb(k + l - 1, k - l - 1)
     symmetric = 0
     if (k + l) % 2 == 1:
-        symmetric = binom((k + l - 1) // 2, l) * 2 ** ((k - l - 1) // 2)
+        symmetric = comb((k + l - 1) // 2, l) * 2 ** ((k - l - 1) // 2)
     if l == k - 1:
         return 1 + symmetric
-    return binom(k + l, 2 * l + 1) * 2 ** (k - l - 2) + symmetric
+    return comb(k + l, 2 * l + 1) * 2 ** (k - l - 2) + symmetric
 
 
 def stratum_closed_B(k: int, l: int, parity: str) -> int:
@@ -192,19 +192,19 @@ def stratum_closed_B(k: int, l: int, parity: str) -> int:
     """
     _check_stratum_args(k, l, parity)
     if parity == "even":
-        eight = ((k + 3 * l + 1) << (k - l - 1)) * binom(k + l - 1, k - l - 1)
+        eight = ((k + 3 * l + 1) << (k - l - 1)) * comb(k + l - 1, k - l - 1)
         if l == k - 2:
             eight += 4 * k - 6
         elif l == k - 1:
             eight -= 4 * k - 2
         return _exact_div(eight, 8)
-    eight = ((k + 3 * l + 3) << (k - l - 1)) * binom(k + l, 2 * l + 1)
+    eight = ((k + 3 * l + 3) << (k - l - 1)) * comb(k + l, 2 * l + 1)
     if l == k - 2:
         eight -= 4 * (k - 1)
     elif l == k - 1:
         eight += 4 * k
     if (k + l) % 2 == 1:
-        eight += ((k + 3 * l + 3) << ((k - l + 1) // 2)) * binom((k + l - 1) // 2, l)
+        eight += ((k + 3 * l + 3) << ((k - l + 1) // 2)) * comb((k + l - 1) // 2, l)
     return _exact_div(eight, 8)
 
 

@@ -8,19 +8,12 @@ accumulated as integer numerators over d^k, and the binomial tables are
 compared entry by entry as integers.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 from .contfrac import _exact, _require_int
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient with the vanishing convention outside 0 <= k <= n."""
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -36,20 +29,12 @@ class IdentityReport:
     def passed(self) -> bool:
         return self.counterexample is None
 
-    @property
-    def status(self) -> str:
-        if self.passed:
-            return "pass"
-        return f"fail: {self.counterexample}"
-
     def __str__(self) -> str:
         xs = ""
         if self.x_values:
             xs = " at x in {" + ", ".join(str(x) for x in self.x_values) + "}"
-        return (
-            f"{self.identity_id}: n in [{self.n_range[0]}, {self.n_range[1]}]"
-            f"{xs}: {self.status}"
-        )
+        verdict = "pass" if self.passed else f"fail: {self.counterexample}"
+        return f"{self.identity_id}: n in [{self.n_range[0]}, {self.n_range[1]}]{xs}: {verdict}"
 
 
 def _poly_at(coeffs: list, x: Fraction) -> Fraction:
@@ -72,13 +57,13 @@ def _poly_at(coeffs: list, x: Fraction) -> Fraction:
 def alpha_sum(n: int, x) -> Fraction:
     """Sum of x^q * C(2n-1-q, q) over q = 0 .. n-1, for int n >= 0 and int or Fraction x."""
     _require_int("n", n, 0)
-    return _poly_at([binom(2 * n - 1 - q, q) for q in range(n)], _exact(x))
+    return _poly_at([comb(2 * n - 1 - q, q) for q in range(n)], _exact(x))
 
 
 def beta_sum(n: int, x) -> Fraction:
     """Sum of x^q * C(2n-q, q) over q = 0 .. n, for int n >= 0 and int or Fraction x."""
     _require_int("n", n, 0)
-    return _poly_at([binom(2 * n - q, q) for q in range(n + 1)], _exact(x))
+    return _poly_at([comb(2 * n - q, q) for q in range(n + 1)], _exact(x))
 
 
 def _report(identity_id: str, lo: int, n_max: int, x_values: tuple, failures,
@@ -142,10 +127,10 @@ def weighted_sum_check(n_max: int) -> IdentityReport:
 
     def failures():
         for n in range(1, n_max + 1):
-            first = sum(q * 2**q * binom(2 * n - 1 - q, q) for q in range(n))
+            first = sum(q * 2**q * comb(2 * n - 1 - q, q) for q in range(n))
             if 27 * first != 2 * ((4**n - 1) * (3 * n - 2) - 3 * n):
                 yield f"first, n={n}"
-            second = sum(q * 2**q * binom(2 * n - q, q) for q in range(n + 1))
+            second = sum(q * 2**q * comb(2 * n - q, q) for q in range(n + 1))
             if 27 * second != 2 * ((4**n - 1) * (6 * n - 1) + 12 * n):
                 yield f"second, n={n}"
 
@@ -160,7 +145,7 @@ def wellknown_check(n_max: int) -> IdentityReport:
     """
 
     def failures():
-        rows = [[math.comb(n, q) for q in range(n + 1)] for n in range(n_max + 1)]
+        rows = [[comb(n, q) for q in range(n + 1)] for n in range(n_max + 1)]
         for a, row in enumerate(rows):
             for b in range(a + 1):
                 ab, rb = row[b], rows[b]

@@ -27,14 +27,6 @@ def _require_mode(mode):
         raise TypeError(f"mode {_shown(mode)} is not a Mode member")
 
 
-def _orbit_min(entries: tuple, mode: Mode) -> tuple:
-    # Hot path: plain tuples in, plain tuple out.
-    rn = tuple(map(neg, entries[::-1]))
-    if mode is Mode.MIRROR_DISTINCT:
-        return entries if entries <= rn else rn
-    return min(entries, rn, tuple(map(neg, entries)), entries[::-1])
-
-
 @dataclass(frozen=True)
 class KnotClass:
     """Canonical representative of an equivalence class of even sequences."""
@@ -69,8 +61,13 @@ def canonicalize(seq, mode: Mode) -> KnotClass:
     """
     _require_mode(mode)
     s = EvenSequence(seq)
+    rn = tuple(map(neg, s[::-1]))
+    if mode is Mode.MIRROR_DISTINCT:
+        key = s if s <= rn else rn
+    else:
+        key = min(s, rn, tuple(map(neg, s)), s[::-1])
     # Reversal and negation keep a sequence valid, so the minimum needs no check.
-    return KnotClass(tuple.__new__(EvenSequence, _orbit_min(tuple(s), mode)), mode)
+    return KnotClass(tuple.__new__(EvenSequence, key), mode)
 
 
 def is_amphichiral(seq) -> bool:

@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from twobridge import (
     EvenSequence,
     Mode,
+    canonicalize,
     crossing_number,
     enumerate_classes,
     enumerate_sequences,
@@ -26,15 +28,12 @@ from twobridge.enumeration import (
     _blocks,
     _class_keys,
     _orbit_minima,
-    _raw_sequences,
     _cpu_count,
     _unit_tables,
     compositions,
     sign_patterns,
     strata,
 )
-from twobridge.identities import binom
-from twobridge.knots import _orbit_min
 
 D = Mode.MIRROR_DISTINCT
 C = Mode.MIRROR_COLLAPSED
@@ -51,11 +50,11 @@ class TestCompositions:
         assert list(compositions(3, 4)) == []
 
     def test_count_matches_binomial(self):
-        assert len(list(compositions(5, 2))) == binom(4, 1)
+        assert len(list(compositions(5, 2))) == comb(4, 1)
         for total in range(1, 9):
             for parts in range(1, total + 1):
                 got = list(compositions(total, parts))
-                assert len(got) == binom(total - 1, parts - 1)
+                assert len(got) == comb(total - 1, parts - 1)
                 assert got == sorted(got)
                 assert all(sum(t) == total and min(t) >= 1 for t in got)
                 assert len(set(got)) == len(got)
@@ -98,11 +97,11 @@ class TestSignPatterns:
         assert list(sign_patterns(2, 0)) == [(1, 1), (-1, -1)]
 
     def test_count(self):
-        assert len(list(sign_patterns(6, 2))) == 2 * binom(5, 2)
+        assert len(list(sign_patterns(6, 2))) == 2 * comb(5, 2)
         for length in range(2, 8):
             for ell in range(length):
                 pats = list(sign_patterns(length, ell))
-                assert len(pats) == 2 * binom(length - 1, ell)
+                assert len(pats) == 2 * comb(length - 1, ell)
                 assert len(set(pats)) == len(pats)
                 for p in pats:
                     changes = sum(1 for a, b in zip(p, p[1:]) if a != b)
@@ -152,13 +151,21 @@ class TestBlocks:
                 assert got == want, (c, ell, m)
 
 
+def unit_sequences(c, ell, m):
+    """Each sequence of one (ell, m) unit written out entry by entry, in stream order."""
+    patterns = list(sign_patterns(2 * m, ell))
+    for b in compositions((c + ell) // 2, 2 * m):
+        for p in patterns:
+            yield tuple(2 * x * s for x, s in zip(b, p))
+
+
 def set_route_classes(c, mode):
     """The set-based stream: first encounter of each orbit minimum, per unit."""
     out = []
     for ell, m in strata(c):
         seen = set()
-        for entries in _raw_sequences(c, ell, m):
-            key = _orbit_min(entries, mode)
+        for entries in unit_sequences(c, ell, m):
+            key = canonicalize(entries, mode).canonical
             if key not in seen:
                 seen.add(key)
                 out.append(key)
@@ -241,7 +248,7 @@ class TestTally:
         for c in (4, 6, 8, 10, 12, 14):
             k = c // 2
             reconciled = (
-                Fraction(2) ** (k - (k - 1) - 2) * binom(2 * k - 2, 0)
+                Fraction(2) ** (k - (k - 1) - 2) * comb(2 * k - 2, 0)
                 - Fraction(1, 2)
             )
             assert reconciled == 0
@@ -256,7 +263,7 @@ class TestTallies:
             for ell, m in strata(c):
                 got = _orbit_minima(c, ell, m)
                 for mode in (D, C):
-                    keys = {_orbit_min(s, mode) for s in _raw_sequences(c, ell, m)}
+                    keys = {canonicalize(s, mode).canonical for s in unit_sequences(c, ell, m)}
                     assert got[mode] == len(keys), (c, ell, m, mode)
 
     def test_both_modes_match_tally(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from click.testing import CliRunner
@@ -29,7 +30,6 @@ from twobridge.formulas import (
     InexactDivision,
     _exact_div,
 )
-from twobridge.identities import binom
 
 CLOSED_FORMS_OF_C = (
     tk_closed, tg_closed, tk_mirror_closed, tg_mirror_closed,
@@ -42,29 +42,29 @@ def stratum_sum_A(k, l, parity):
     """Direct summation over the genus window, the defining expression."""
     if parity == "even":
         return sum(
-            binom(k + l - 1, 2 * l) * binom(k - l - 1, 2 * m - 2 * l - 1)
+            comb(k + l - 1, 2 * l) * comb(k - l - 1, 2 * m - 2 * l - 1)
             for m in range(l + 1, (k + l) // 2 + 1)
         )
     total = 0
     for m in range(l + 1, (k + l + 1) // 2 + 1):
-        total += binom(k + l, 2 * l + 1) * binom(k - l - 1, 2 * m - 2 * l - 2)
+        total += comb(k + l, 2 * l + 1) * comb(k - l - 1, 2 * m - 2 * l - 2)
         if (k + l) % 2 == 1:
-            total += binom((k + l - 1) // 2, l) * binom((k - l - 1) // 2, m - l - 1)
+            total += comb((k + l - 1) // 2, l) * comb((k - l - 1) // 2, m - l - 1)
     return total
 
 
 def stratum_sum_B(k, l, parity):
     if parity == "even":
         return sum(
-            m * binom(k + l - 1, 2 * l) * binom(k - l - 1, 2 * m - 2 * l - 1)
+            m * comb(k + l - 1, 2 * l) * comb(k - l - 1, 2 * m - 2 * l - 1)
             for m in range(l + 1, (k + l) // 2 + 1)
         )
     total = 0
     for m in range(l + 1, (k + l + 1) // 2 + 1):
-        total += m * binom(k + l, 2 * l + 1) * binom(k - l - 1, 2 * m - 2 * l - 2)
+        total += m * comb(k + l, 2 * l + 1) * comb(k - l - 1, 2 * m - 2 * l - 2)
         if (k + l) % 2 == 1:
             total += (
-                m * binom((k + l - 1) // 2, l) * binom((k - l - 1) // 2, m - l - 1)
+                m * comb((k + l - 1) // 2, l) * comb((k - l - 1) // 2, m - l - 1)
             )
     return total
 
@@ -80,9 +80,9 @@ def tg_mirror_double_sum(c):
     total = Fraction(0)
     for l in range(k):
         for m in range(l + 1, (k + l) // 2 + 1):
-            total += Fraction(m, 2) * binom(k + l - 1, 2 * m - 1) * binom(2 * m - 1, 2 * l)
+            total += Fraction(m, 2) * comb(k + l - 1, 2 * m - 1) * comb(2 * m - 1, 2 * l)
             if (l + k) % 2 == 0:
-                total += Fraction(m, 2) * binom((k + l - 2) // 2, m - 1) * binom(m - 1, l)
+                total += Fraction(m, 2) * comb((k + l - 2) // 2, m - 1) * comb(m - 1, l)
     assert total.denominator == 1, f"c={c}: total genus {total} is not an integer"
     return total.numerator
 
@@ -190,7 +190,7 @@ class TestStratumClosedForms:
     )
     def test_non_int_argument_named(self, fn, args, named, monkeypatch):
         # A bool must not count as 0 or 1, nor a float reach math.comb.
-        monkeypatch.setattr(formulas, "binom", None)
+        monkeypatch.setattr(formulas, "comb", None)
         with pytest.raises(TypeError, match=f"^{re.escape(named)} is not an int$"):
             fn(*args)
 

@@ -1,5 +1,6 @@
 import re
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -18,8 +19,6 @@ from twobridge import (
 )
 from twobridge import enumeration, knots
 from twobridge.enumeration import sign_patterns
-from twobridge.identities import binom
-from twobridge.knots import _orbit_min
 
 D = Mode.MIRROR_DISTINCT
 C = Mode.MIRROR_COLLAPSED
@@ -32,7 +31,7 @@ def stratum_classes(b, ell, mode):
     orbit minimum.
     """
     return {
-        _orbit_min(tuple(2 * x * s for x, s in zip(mags, signs)), mode)
+        canonicalize(tuple(2 * x * s for x, s in zip(mags, signs)), mode).canonical
         for mags in (b, b[::-1])
         for signs in sign_patterns(len(mags), ell)
     }
@@ -130,7 +129,7 @@ def test_mode_letter_refused_before_any_work(entry, monkeypatch):
     def refuse(*_, **__):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(knots, "_orbit_min", refuse)
+    monkeypatch.setattr(knots, "EvenSequence", refuse)
     monkeypatch.setattr(enumeration, "strata", refuse)
     monkeypatch.setattr(enumeration, "tallies", refuse)
     with pytest.raises(TypeError, match="mode 'D' is not a Mode member"):
@@ -197,11 +196,11 @@ class TestStrata:
                 for ell in range(2 * m):
                     got = len(stratum_classes(b, ell, D))
                     if b[::-1] != b:
-                        want = 2 * binom(2 * m - 1, ell)
+                        want = 2 * comb(2 * m - 1, ell)
                     elif ell % 2 == 0:
-                        want = binom(2 * m - 1, ell)
+                        want = comb(2 * m - 1, ell)
                     else:
-                        want = binom(2 * m - 1, ell) + binom(m - 1, (ell - 1) // 2)
+                        want = comb(2 * m - 1, ell) + comb(m - 1, (ell - 1) // 2)
                     assert got == want, (b, ell)
 
 

@@ -6,7 +6,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twobridge"
 
 # Each module may import only modules before it; __init__ re-exports them all.
-LAYERS = ["contfrac", "identities", "knots", "enumeration", "formulas", "cli"]
+LAYERS = ["contfrac", "knots", "enumeration", "formulas", "identities", "cli"]
 
 
 def sibling_imports(tree):

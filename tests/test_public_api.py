@@ -9,6 +9,7 @@ from twobridge import (
     Mode,
     avg_genus,
     avg_genus_mirror,
+    cf_value,
     contfrac,
     correction,
     correction_mirror,
@@ -57,6 +58,8 @@ GUARDED = [
     ("alpha_recurrence_check", "n_max", lambda v: identities.alpha_recurrence_check(v, 2)),
     ("alpha_sum", "n", lambda v: identities.alpha_sum(v, 2)),
     ("beta_sum", "n", lambda v: identities.beta_sum(v, 2)),
+    ("cf_value-first", "entry 0", lambda v: cf_value([v, 2])),
+    ("cf_value-last", "entry 3", lambda v: cf_value((2, -2, 4, v))),
 ]
 
 NON_INTS = {"True": True, "7.0": 7.0, "5000x": "x" * 5000}
