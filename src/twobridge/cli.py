@@ -59,7 +59,7 @@ from .enumeration import _class_keys, _cpu_count, tallies
 from .knots import Mode, canonicalize, is_amphichiral
 
 # Largest crossing number a command enumerates, a work budget:
-# tallies([24]) took 1.2 to 1.4 s on a shared 2-vCPU host with Python 3.11,
+# tallies([24]) took 0.8 to 1.2 s on a shared 2-vCPU host with Python 3.11,
 # and each +2 in c costs about 4 times more.
 MAX_ENUM_C = 26
 
@@ -192,9 +192,9 @@ def _ok_text(ok: bool) -> str:
 
 def _parse_threads(value: str) -> int:
     # The token rule of sequence text; called once the digit limit is lifted.
-    if value == "auto":
-        return _cpu_count()
     token = value.strip()
+    if token == "auto":
+        return _cpu_count()
     threads = int(token) if _INT_TOKEN.fullmatch(token) else 0
     if threads >= 1:
         return threads

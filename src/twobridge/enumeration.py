@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
-from operator import and_, le, mul
+from operator import and_, itemgetter, le, mul, sub
 
 from .contfrac import EvenSequence, _require_int
 from .knots import KnotClass, Mode, _require_mode
@@ -42,7 +42,7 @@ def compositions(total: int, parts: int):
     if total < parts:
         return
     for cuts in combinations(range(1, total), parts - 1):
-        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def sign_patterns(length: int, ell: int):
@@ -85,7 +85,7 @@ def enumerate_sequences(c: int):
 
 
 def _unit_tables(ell: int, m: int):
-    """Sign patterns of one (ell, m) unit and the index maps of its symmetries.
+    """Sign patterns of the (ell, m) units, for every c, and the index maps of their symmetries.
 
     Returns ``(patterns, rn, rev, half)``.  With magnitudes b and signs
     ``patterns[i]``, reverse_negate(b * p) is reversed(b) *
@@ -95,7 +95,7 @@ def _unit_tables(ell: int, m: int):
     last, in the same change order; and reverse-negation is negation
     after reversal, so ``rn[i]`` is ``(rev[i] + half) % len(patterns)``.
     So the sequences of b and of reversed(b), built side by side from
-    one column table (see ``_blocks``), find their orbit partners by index.
+    one column table (see ``_columns``), find their orbit partners by index.
     """
     patterns = list(sign_patterns(2 * m, ell))
     index = {p: i for i, p in enumerate(patterns)}
@@ -105,18 +105,26 @@ def _unit_tables(ell: int, m: int):
     return patterns, rn, rev, half
 
 
-def _blocks(c: int, ell: int, m: int, patterns: list):
+def _columns(patterns: list, c: int, ell: int, m: int) -> list:
+    """Column table of the (ell, m) sign patterns, for crossing numbers up to ``c``.
+
+    ``columns[j][x]`` lists 2x * p[j] over the patterns p, for every part
+    x a composition of (c + ell)/2 into 2m parts can have; a smaller
+    crossing number of the same (ell, m) uses a prefix of each column.
+    """
+    return [[None] + [[2 * x * s for s in signs] for x in range(1, (c + ell) // 2 - 2 * m + 2)]
+            for signs in zip(*patterns)]
+
+
+def _blocks(c: int, ell: int, m: int, columns: list):
     """Yield ``(own, mirror)``, the sequences of b and of reversed(b) by pattern index.
 
     b runs over the unit's compositions that are not after their reverse;
     ``mirror is own`` on a palindrome.  Every orbit lies in one pair.
-    A block zips one column per position, each sequence one tuple built in C.
+    A block zips one column per position (see ``_columns``), each
+    sequence one tuple built in C.
     """
-    total = (c + ell) // 2
-    # columns[j][x] lists 2x * p[j] over the patterns p, for every part x >= 1.
-    columns = [[None] + [[2 * x * s for s in signs] for x in range(1, total - 2 * m + 2)]
-               for signs in zip(*patterns)]
-    for b in compositions(total, 2 * m):
+    for b in compositions((c + ell) // 2, 2 * m):
         rb = b[::-1]
         if rb < b:
             continue
@@ -158,7 +166,7 @@ def _class_keys(c: int, mode: Mode):
         patterns, rn, rev, half = _unit_tables(ell, m)
         general = _class_columns(mode, rn, rev, half, False)
         palindromic = _class_columns(mode, rn, rev, half, True)
-        for own, mirror in _blocks(c, ell, m, patterns):
+        for own, mirror in _blocks(c, ell, m, _columns(patterns, c, ell, m)):
             own_cols, mirror_cols = palindromic if mirror is own else general
             members = [map(own.__getitem__, col) for col in own_cols]
             members += [map(mirror.__getitem__, col) for col in mirror_cols]
@@ -188,30 +196,37 @@ class Tally:
     by_ell: dict
 
 
-def _orbit_minima(c: int, ell: int, m: int) -> dict:
-    """Class counts of one (ell, m) unit in both modes, without a set.
+def _orbit_minima(ell: int, m: int, cs: list) -> list:
+    """Class counts in both modes of the (c, ell, m) unit for each c in ``cs``, without a set.
 
     Canonical forms preserve ell, genus and the magnitude multiset, so
     every orbit lies inside one unit, and the unit's class count is the
     number of its sequences that are their own orbit minimum.  A sequence
     ``s`` is a mirror-distinct minimum iff ``s <= reverse_negate(s)``, and
     a mirror-collapsed one iff in addition ``s <= negate(s)`` (that is,
-    ``s[0] < 0``) and ``s <= reverse(s)``.
+    ``s[0] < 0``) and ``s <= reverse(s)``.  The units share one pattern
+    and column table, dropped on return; every sequence of each is still
+    built and compared with its partners.
     """
     patterns, rn, rev, half = _unit_tables(ell, m)
-    # The negative-first half comes last: there s[0] < 0.
-    rn_neg, rev_neg = rn[half:], rev[half:]
-    distinct = collapsed = 0
-    for own, mirror in _blocks(c, ell, m, patterns):
-        pairs = ((own, own),) if mirror is own else ((own, mirror), (mirror, own))
-        for seqs, partners in pairs:
-            get = partners.__getitem__
-            distinct += sum(map(le, seqs, map(get, rn)))
-            neg = seqs[half:]
-            collapsed += sum(
-                map(and_, map(le, neg, map(get, rn_neg)), map(le, neg, map(get, rev_neg)))
-            )
-    return {Mode.MIRROR_DISTINCT: distinct, Mode.MIRROR_COLLAPSED: collapsed}
+    columns = _columns(patterns, max(cs), ell, m)
+    # Each side's partners in one C call.  The negative-first half comes
+    # last: there s[0] < 0.  itemgetter of one index returns the bare item,
+    # not a 1-tuple, as in the two-pattern units.
+    rn_of = itemgetter(*rn)
+    rev_neg_of = itemgetter(*rev[half:]) if half > 1 else lambda seqs: (seqs[rev[1]],)
+    counts = []
+    for c in cs:
+        distinct = collapsed = 0
+        for own, mirror in _blocks(c, ell, m, columns):
+            pairs = ((own, own),) if mirror is own else ((own, mirror), (mirror, own))
+            for seqs, partners in pairs:
+                below_rn = list(map(le, seqs, rn_of(partners)))
+                distinct += below_rn.count(True)
+                collapsed += sum(map(and_, below_rn[half:],
+                                     map(le, seqs[half:], rev_neg_of(partners))))
+        counts.append({Mode.MIRROR_DISTINCT: distinct, Mode.MIRROR_COLLAPSED: collapsed})
+    return counts
 
 
 def _cpu_count() -> int:
@@ -221,43 +236,48 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _unit_size(unit: tuple) -> int:
+def _unit_size(c: int, ell: int, m: int) -> int:
     # Sequences in a (c, ell, m) unit, up to the factor 2 of the leading
     # sign: compositions of (c + ell)/2 into 2m parts times change positions.
-    c, ell, m = unit
     return comb((c + ell) // 2 - 1, 2 * m - 1) * comb(2 * m - 1, ell)
 
 
 def tallies(cs, threads: int = 1) -> dict:
     """Count knot classes for every crossing number in ``cs``, in both modes.
 
-    Returns ``{c: {Mode: Tally}}``.  Each (ell, m) unit is walked once
-    for both modes.  ``threads`` > 1 maps the units of every ``c`` over
-    one process pool, with at most one worker per unit and per CPU,
-    largest units first and a few to a task; results are merged in unit
+    Returns ``{c: {Mode: Tally}}``.  Each (c, ell, m) unit is walked once
+    for both modes, and the units of one (ell, m) share its tables, built
+    once per call.  ``threads`` > 1 maps these (ell, m) groups over one
+    process pool, with at most one worker per group and per CPU, the
+    most total work first and a few to a task; results are merged in unit
     order, so the outcome is identical to the serial run.  A ``threads``
     that is not a positive ``int`` is refused before any unit runs.
     """
     _require_int("threads", threads, 1)
     cs = list(dict.fromkeys(cs))
     units = [(c, ell, m) for c in cs for ell, m in strata(c)]
-    # Never more workers than units to share or CPUs to run them: a pool
+    groups = {}
+    for c, ell, m in units:
+        groups.setdefault((ell, m), []).append(c)
+    # Never more workers than groups to share or CPUs to run them: a pool
     # starts all of its workers at once.
-    workers = min(threads, len(units), _cpu_count())
+    workers = min(threads, len(groups), _cpu_count())
     if workers > 1:
-        # The largest units first, so no worker starts one late and runs alone.
-        order = sorted(units, key=_unit_size, reverse=True)
+        # The most work first, so no worker starts a group late and runs alone.
+        order = sorted(groups, reverse=True,
+                       key=lambda g: sum(_unit_size(c, *g) for c in groups[g]))
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(order, pool.map(_orbit_minima, *zip(*order),
-                                            chunksize=max(1, len(units) // (8 * workers)))))
-        minima = [done[unit] for unit in units]
+            counts = pool.map(_orbit_minima, *zip(*order), [groups[g] for g in order],
+                              chunksize=max(1, len(groups) // (8 * workers)))
+            done = dict(zip(order, counts))
     else:
-        minima = [_orbit_minima(*unit) for unit in units]
+        done = {g: _orbit_minima(*g, group) for g, group in groups.items()}
+    minima = {(c, *g): n for g, group in groups.items() for c, n in zip(group, done[g])}
 
     # Per (c, mode): knot count, total genus, by_genus, by_ell.
     acc = {(c, mode): [0, 0, {}, {}] for c in cs for mode in Mode}
-    for (c, ell, m), counts in zip(units, minima):
-        for mode, n in counts.items():
+    for c, ell, m in units:
+        for mode, n in minima[c, ell, m].items():
             a = acc[c, mode]
             a[0] += n
             a[1] += m * n

@@ -37,33 +37,34 @@ class IdentityReport:
         return f"{self.identity_id}: n in [{self.n_range[0]}, {self.n_range[1]}]{xs}: {verdict}"
 
 
-def _poly_at(coeffs: list, x: Fraction) -> Fraction:
-    """Sum of coeffs[q] * x^q, by Horner's rule over the integers.
+def _diagonal_at(k: int, x: Fraction) -> tuple:
+    """Sum of x^q * C(k-q, q) over q = 0 .. floor(k/2), as (numerator, d^floor(k/2)).
 
-    With x = p/d and k = len(coeffs) - 1, the numerator
-    sum a_q p^q d^(k-q) is accumulated in integers and reduced once, as
-    Fraction(numerator, d^k).
+    With x = p/d, the numerator sum C(k-q, q) p^q d^(floor(k/2)-q) is
+    accumulated in integers by Horner's rule; for k < 0 the sum is empty,
+    (0, 1).
     """
+    coeffs = [comb(k - q, q) for q in range(k // 2 + 1)]
     if not coeffs:
-        return Fraction(0)
+        return 0, 1
     p, d = x.numerator, x.denominator
     num, den = coeffs[-1], 1
     for a in coeffs[-2::-1]:
         den *= d
         num = num * p + a * den
-    return Fraction(num, den)
+    return num, den
 
 
 def alpha_sum(n: int, x) -> Fraction:
     """Sum of x^q * C(2n-1-q, q) over q = 0 .. n-1, for int n >= 0 and int or Fraction x."""
     _require_int("n", n, 0)
-    return _poly_at([comb(2 * n - 1 - q, q) for q in range(n)], _exact(x))
+    return Fraction(*_diagonal_at(2 * n - 1, _exact(x)))
 
 
 def beta_sum(n: int, x) -> Fraction:
     """Sum of x^q * C(2n-q, q) over q = 0 .. n, for int n >= 0 and int or Fraction x."""
     _require_int("n", n, 0)
-    return _poly_at([comb(2 * n - q, q) for q in range(n + 1)], _exact(x))
+    return Fraction(*_diagonal_at(2 * n, _exact(x)))
 
 
 def _report(identity_id: str, lo: int, n_max: int, x_values: tuple, failures,
@@ -85,20 +86,22 @@ def alpha_recurrence_check(n_max: int, x) -> IdentityReport:
     """Verify a(n+1) = (2x+1) a(n) - x^2 a(n-1) and b(n) = a(n+1) - x a(n).
 
     Both recurrences are checked against the direct sums for all
-    1 <= n < n_max at the given rational x.
+    1 <= n < n_max at the given rational x, in integers: with x = p/d,
+    A(n) = d^(n-1) a(n) and B(n) = d^n b(n) are the sums' numerators, and
+    A(n+1) = (2p + d) A(n) - p^2 A(n-1), B(n) = A(n+1) - p A(n).
     """
     x = _exact(x)
+    p, d = x.numerator, x.denominator
 
     def failures():
-        a = [alpha_sum(n, x) for n in range(n_max + 1)]
-        b = [beta_sum(n, x) for n in range(n_max)]
+        a = [_diagonal_at(2 * n - 1, x)[0] for n in range(n_max + 1)]
+        b = [_diagonal_at(2 * n, x)[0] for n in range(n_max)]
         for n in range(1, n_max):
-            lhs = a[n + 1]
-            rhs = (2 * x + 1) * a[n] - x * x * a[n - 1]
-            if lhs != rhs:
-                yield f"n={n}: {lhs} != {rhs}"
-            if b[n] != a[n + 1] - x * a[n]:
-                yield f"n={n}: beta {b[n]} != {a[n + 1] - x * a[n]}"
+            rhs = (2 * p + d) * a[n] - p * p * a[n - 1]
+            if a[n + 1] != rhs:
+                yield f"n={n}: {Fraction(a[n + 1], d**n)} != {Fraction(rhs, d**n)}"
+            if b[n] != a[n + 1] - p * a[n]:
+                yield f"n={n}: beta {Fraction(b[n], d**n)} != {Fraction(a[n + 1] - p * a[n], d**n)}"
 
     return _report("alpha_recurrence", 1, n_max, (x,), failures, below=1)
 

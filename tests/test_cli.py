@@ -589,7 +589,12 @@ class TestTable1:
         assert runner.invoke(main, args, env=env).exit_code == 0
         args = ["--threads", "auto", "table1", "--max-c", "4"]
         assert runner.invoke(main, args, env=env).exit_code == 0
-        assert asked == [2, 1, 3]
+        # Spaces around 'auto' are stripped, as around a number.
+        args = ["--threads", " auto", "table1", "--max-c", "4"]
+        assert runner.invoke(main, args, env=env).exit_code == 0
+        spaced = {"TWOBRIDGE_THREADS": "auto "}
+        assert runner.invoke(main, ["table1", "--max-c", "4"], env=spaced).exit_code == 0
+        assert asked == [2, 1, 3, 3, 3]
         bad = runner.invoke(main, ["table1", "--max-c", "4"], env={"TWOBRIDGE_THREADS": "0"})
         assert bad.exit_code == 2
         assert ("Invalid value for '--threads': '0' is not a positive integer or 'auto'"

@@ -27,6 +27,7 @@ from twobridge import enumeration
 from twobridge.enumeration import (
     _blocks,
     _class_keys,
+    _columns,
     _orbit_minima,
     _cpu_count,
     _unit_tables,
@@ -137,6 +138,8 @@ class TestBlocks:
     def test_equal_per_sequence_reference(self):
         # Each sequence written out entry by entry, for b and reversed(b),
         # over the compositions that are not after their reverse, in order.
+        # A column table built for a larger crossing number gives the same
+        # blocks, as when one table serves every c of an (ell, m) group.
         for c in range(3, 17):
             for ell, m in strata(c):
                 patterns = _unit_tables(ell, m)[0]
@@ -146,9 +149,19 @@ class TestBlocks:
                     for b in compositions((c + ell) // 2, 2 * m)
                     if b <= b[::-1]
                 ]
-                got = [[own, mirror, mirror is own]
-                       for own, mirror in _blocks(c, ell, m, patterns)]
-                assert got == want, (c, ell, m)
+                for top in (c, c + 4):
+                    got = [[own, mirror, mirror is own]
+                           for own, mirror in _blocks(c, ell, m, _columns(patterns, top, ell, m))]
+                    assert got == want, (c, top, ell, m)
+
+
+def groups(cs):
+    """Each (ell, m) with a unit in cs, mapped to its crossing numbers in stream order."""
+    found = {}
+    for c in cs:
+        for ell, m in strata(c):
+            found.setdefault((ell, m), []).append(c)
+    return found
 
 
 def unit_sequences(c, ell, m):
@@ -190,14 +203,14 @@ class TestEnumerateClasses:
 
     @pytest.mark.parametrize("mode", [D, C], ids=["D", "C"])
     def test_unit_counts_equal_orbit_minima(self, mode):
-        for c in range(3, 17):
-            per_unit = Counter(
-                (sign_changes(kc.canonical), genus(kc.canonical))
-                for kc in enumerate_classes(c, mode)
-            )
-            for ell, m in strata(c):
-                assert per_unit.pop((ell, m), 0) == _orbit_minima(c, ell, m)[mode], (c, ell, m)
-            assert not per_unit
+        per_unit = Counter(
+            (crossing_number(kc.canonical), sign_changes(kc.canonical), genus(kc.canonical))
+            for c in range(3, 17) for kc in enumerate_classes(c, mode)
+        )
+        for (ell, m), cs in groups(range(3, 17)).items():
+            for c, counts in zip(cs, _orbit_minima(ell, m, cs), strict=True):
+                assert per_unit.pop((c, ell, m), 0) == counts[mode], (c, ell, m)
+        assert not per_unit
 
 
     @pytest.mark.parametrize("mode", [D, C], ids=["D", "C"])
@@ -258,10 +271,10 @@ class TestTally:
 class TestTallies:
     def test_orbit_minima_equal_set_dedupe_per_unit(self):
         # The set route counts distinct orbit minima; the kernel counts
-        # sequences that are their own minimum.  Unit by unit, both modes.
-        for c in range(3, 17):
-            for ell, m in strata(c):
-                got = _orbit_minima(c, ell, m)
+        # sequences that are their own minimum.  Unit by unit, both modes,
+        # each (ell, m) group in one call.
+        for (ell, m), cs in groups(range(3, 17)).items():
+            for c, got in zip(cs, _orbit_minima(ell, m, cs), strict=True):
                 for mode in (D, C):
                     keys = {canonicalize(s, mode).canonical for s in unit_sequences(c, ell, m)}
                     assert got[mode] == len(keys), (c, ell, m, mode)
@@ -298,25 +311,42 @@ class TestTallies:
         assert after == (["concurrent.futures", "multiprocessing"]
                          if _cpu_count() > 1 else [])
 
-    def test_pool_takes_units_largest_first(self, monkeypatch):
+    def test_pool_takes_groups_largest_first(self, monkeypatch):
         handed = []
 
         class RecordingPool(enumeration.ProcessPoolExecutor):
             def map(self, fn, *iterables, chunksize=1):
-                units = list(zip(*iterables))
-                handed.append((units, chunksize))
-                return super().map(fn, *zip(*units), chunksize=chunksize)
+                tasks = list(zip(*iterables))
+                handed.append((tasks, chunksize))
+                return super().map(fn, *zip(*tasks), chunksize=chunksize)
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
         cs = range(3, 19)
         assert tallies(cs, threads=2) == tallies(cs)
-        [(units, chunksize)] = handed
-        assert sorted(units) == sorted((c, ell, m) for c in cs for ell, m in strata(c))
-        sizes = [len(list(compositions((c + ell) // 2, 2 * m)))
-                 * len(list(sign_patterns(2 * m, ell))) for c, ell, m in units]
+        [(tasks, chunksize)] = handed
+        # One task per (ell, m) group, holding each of its crossing numbers once.
+        assert sorted(tasks) == sorted((ell, m, group) for (ell, m), group in groups(cs).items())
+        sizes = [sum(len(list(compositions((c + ell) // 2, 2 * m))) for c in group)
+                 * len(list(sign_patterns(2 * m, ell))) for ell, m, group in tasks]
         assert sizes == sorted(sizes, reverse=True)
-        assert chunksize == len(units) // 16 > 1
+        assert chunksize == len(tasks) // 16 > 1
+
+    @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+    def test_one_table_per_group(self, monkeypatch, threads):
+        # The recording pool maps in this process, so every table build is seen.
+        built = Counter()
+
+        def counted(ell, m):
+            built[ell, m] += 1
+            return _unit_tables(ell, m)
+
+        monkeypatch.setattr(enumeration, "_unit_tables", counted)
+        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
+        cs = range(3, 17)
+        assert pool_sizes(monkeypatch, cs, threads) == ([2] if threads > 1 else [])
+        # pool_sizes tallies twice: at ``threads`` and serially.
+        assert built == Counter({g: 2 for g in groups(cs)})
 
     def test_one_pool_per_call(self, monkeypatch):
         started = []
@@ -387,11 +417,12 @@ def pool_sizes(monkeypatch, cs, threads):
 
 
 class TestWorkerCount:
-    # strata(3) and strata(5) hold one and two units; range(3, 13) holds 44.
+    # A pool task is one (ell, m) group: [3, 5] holds three units in two
+    # groups, and range(3, 13) holds 44 units in 18 groups.
     def test_huge_request_clamped_to_cpus_and_units(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_cpu_count", lambda: 4)
         assert pool_sizes(monkeypatch, range(3, 13), 10**6) == [4]
-        assert pool_sizes(monkeypatch, [3, 5], 10**6) == [3]
+        assert pool_sizes(monkeypatch, [3, 5], 10**6) == [2]
         assert pool_sizes(monkeypatch, range(3, 13), 2) == [2]
         assert pool_sizes(monkeypatch, [3], 10**6) == []
 

@@ -54,6 +54,30 @@ def test_suite_reports_a_wrong_binomial(monkeypatch):
     assert not all(rep.passed for rep in identity_suite(16))
 
 
+@pytest.mark.parametrize("x", RECURRENCE_POINTS + (Fraction(-5, 7),), ids=str)
+def test_recurrence_holds(x):
+    # -5/7: a negative numerator over a denominator above 1, where the
+    # integer numerators carry both signs and powers of d.
+    assert alpha_recurrence_check(40, x).passed
+
+
+@pytest.mark.parametrize(
+    "wrong,x,text",
+    [
+        ((5, 2), Fraction(-5, 7), "n=3: 298/343 != 123/343"),
+        ((5, 2), 2, "n=3: 89 != 85"),
+        ((9, 3), Fraction(3, 2), "n=6: beta 59575/64 != 59359/64"),
+        ((9, 3), Fraction(-5, 7), "n=6: beta -49986/117649 != -7111/117649"),
+    ],
+    ids=["alpha_x=-5/7", "alpha_x=2", "beta_x=3/2", "beta_x=-5/7"],
+)
+def test_recurrence_counterexample_in_lowest_terms(monkeypatch, wrong, x, text):
+    # One coefficient off by one.  The check runs in integer numerators,
+    # and its counterexample shows both sides as the rational values.
+    monkeypatch.setattr(identities, "comb", lambda n, k: comb(n, k) + ((n, k) == wrong))
+    assert alpha_recurrence_check(12, x).counterexample == text
+
+
 def test_recurrence_degenerate_point():
     # At x = 0 only the q = 0 term survives, so the alpha sums collapse
     # to the constant 1 from n = 1 on; the recurrence still holds.
