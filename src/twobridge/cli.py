@@ -59,7 +59,7 @@ from .enumeration import _class_keys, _cpu_count, tallies
 from .knots import Mode, canonicalize, is_amphichiral
 
 # Largest crossing number a command enumerates, a work budget:
-# tallies([24]) took 0.8 to 1.2 s on a shared 2-vCPU host with Python 3.11,
+# tallies([24]) took 1.0 to 1.3 s on a shared 2-vCPU host with Python 3.11,
 # and each +2 in c costs about 4 times more.
 MAX_ENUM_C = 26
 
@@ -260,7 +260,7 @@ def cmd_formulas(ctx, max_c):
               help="Largest crossing number.")
 @click.option(
     "--cutoff",
-    type=click.IntRange(max=MAX_ENUM_C),
+    type=click.IntRange(3, MAX_ENUM_C),
     default=18,
     show_default=True,
     help="Largest crossing number that is also cross-checked by enumeration.",

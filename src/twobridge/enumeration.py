@@ -14,7 +14,7 @@ import importlib
 import os
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from math import comb
 from operator import and_, itemgetter, le, mul, sub
 
@@ -84,36 +84,31 @@ def enumerate_sequences(c: int):
                 yield EvenSequence(map(mul, mags, signs))
 
 
-def _unit_tables(ell: int, m: int):
-    """Sign patterns of the (ell, m) units, for every c, and the index maps of their symmetries.
+def _unit_tables(ell: int, m: int, c: int):
+    """Tables of the (ell, m) units for crossing numbers up to ``c``: columns and one index map.
 
-    Returns ``(patterns, rn, rev, half)``.  With magnitudes b and signs
-    ``patterns[i]``, reverse_negate(b * p) is reversed(b) *
-    ``patterns[rn[i]]``, reverse(b * p) is reversed(b) *
-    ``patterns[rev[i]]``, and negate(b * p) is b * ``patterns[(i + half)
-    % len(patterns)]``: sign_patterns yields the negative-first half
-    last, in the same change order; and reverse-negation is negation
-    after reversal, so ``rn[i]`` is ``(rev[i] + half) % len(patterns)``.
-    So the sequences of b and of reversed(b), built side by side from
-    one column table (see ``_columns``), find their orbit partners by index.
+    Returns ``(columns, rn, half)``.  ``columns[j][x]`` lists 2x * p[j]
+    over the sign patterns p, for every part x a composition of
+    (c + ell)/2 into 2m parts can have; a smaller crossing number of the
+    same (ell, m) reads a prefix of each column.  With magnitudes b and
+    the i-th pattern p, reverse_negate(b * p) is reversed(b) times the
+    ``rn[i]``-th pattern.  sign_patterns yields the negative-first half
+    last, in the same change order, so negation moves an index by
+    ``half`` (mod ``len(rn)``), and reversal, being reverse-negation
+    after negation, is ``rn[(i + half) % len(rn)]``.  So one gather
+    ``r`` of the ``rn`` indices from the sequences of reversed(b) holds
+    every orbit partner of the sequences ``seqs`` of b: ``r[i]`` is the
+    reverse-negation of ``seqs[i]``, ``r[k]`` the reversal of
+    ``seqs[half + k]`` and ``r[half + k]`` that of ``seqs[k]``.
     """
     patterns = list(sign_patterns(2 * m, ell))
     index = {p: i for i, p in enumerate(patterns)}
-    rev = [index[p[::-1]] for p in patterns]
     half = len(patterns) // 2
-    rn = [(i + half) % len(patterns) for i in rev]
-    return patterns, rn, rev, half
-
-
-def _columns(patterns: list, c: int, ell: int, m: int) -> list:
-    """Column table of the (ell, m) sign patterns, for crossing numbers up to ``c``.
-
-    ``columns[j][x]`` lists 2x * p[j] over the patterns p, for every part
-    x a composition of (c + ell)/2 into 2m parts can have; a smaller
-    crossing number of the same (ell, m) uses a prefix of each column.
-    """
-    return [[None] + [[2 * x * s for s in signs] for x in range(1, (c + ell) // 2 - 2 * m + 2)]
-            for signs in zip(*patterns)]
+    rn = [(index[p[::-1]] + half) % len(patterns) for p in patterns]
+    del index  # freed before the columns are built, which set the peak RSS
+    columns = [[None] + [[2 * x * s for s in signs] for x in range(1, (c + ell) // 2 - 2 * m + 2)]
+               for signs in zip(*patterns)]
+    return columns, rn, half
 
 
 def _blocks(c: int, ell: int, m: int, columns: list):
@@ -121,7 +116,7 @@ def _blocks(c: int, ell: int, m: int, columns: list):
 
     b runs over the unit's compositions that are not after their reverse;
     ``mirror is own`` on a palindrome.  Every orbit lies in one pair.
-    A block zips one column per position (see ``_columns``), each
+    A block zips one column per position (see ``_unit_tables``), each
     sequence one tuple built in C.
     """
     for b in compositions((c + ell) // 2, 2 * m):
@@ -130,24 +125,6 @@ def _blocks(c: int, ell: int, m: int, columns: list):
             continue
         own = list(zip(*map(list.__getitem__, columns, b)))
         yield own, (own if rb == b else list(zip(*map(list.__getitem__, columns, rb))))
-
-
-def _class_columns(mode: Mode, rn: list, rev: list, half: int, palindrome: bool):
-    """Where the classes of one composition block sit, by pattern index.
-
-    Returns ``(own_cols, mirror_cols)``: index lists into the block's own
-    sequences and into those of the reversed composition (the same list
-    when the composition is a palindrome).  Row k across the columns
-    lists every member of the k-th orbit met first in this block, and
-    ``own_cols[0][k]`` is the member met first: it precedes its negation
-    (``i < half``) and, when the two blocks coincide, its reverse-negation
-    and its reverse.
-    """
-    if mode is Mode.MIRROR_DISTINCT:
-        sel = [i for i, j in enumerate(rn) if not palindrome or i <= j]
-        return [sel], [[rn[i] for i in sel]]
-    sel = [i for i in range(half) if not palindrome or (i <= rn[i] and i <= rev[i])]
-    return [sel, [i + half for i in sel]], [[rn[i] for i in sel], [rev[i] for i in sel]]
 
 
 def _class_keys(c: int, mode: Mode):
@@ -162,15 +139,21 @@ def _class_keys(c: int, mode: Mode):
     same order, with no set and no per-sequence canonicalisation.
     """
     _require_mode(mode)
+    distinct = mode is Mode.MIRROR_DISTINCT
     for ell, m in strata(c):
-        patterns, rn, rev, half = _unit_tables(ell, m)
-        general = _class_columns(mode, rn, rev, half, False)
-        palindromic = _class_columns(mode, rn, rev, half, True)
-        for own, mirror in _blocks(c, ell, m, _columns(patterns, c, ell, m)):
-            own_cols, mirror_cols = palindromic if mirror is own else general
-            members = [map(own.__getitem__, col) for col in own_cols]
-            members += [map(mirror.__getitem__, col) for col in mirror_cols]
-            yield from map(min, *members)
+        columns, rn, half = _unit_tables(ell, m, c)
+        partners_of = itemgetter(*rn)
+        # A palindromic block is one list for both sides: an orbit is met
+        # first at its member of least index there, which in mode C is
+        # positive-first, half before its negation.
+        if distinct:
+            first = [i <= j for i, j in enumerate(rn)]
+        else:
+            first = [i <= rn[i] and i <= rn[i + half] for i in range(half)]
+        for own, mirror in _blocks(c, ell, m, columns):
+            r = partners_of(mirror)
+            keys = map(min, own, r) if distinct else map(min, own, own[half:], r, r[half:])
+            yield from (compress(keys, first) if mirror is own else keys)
 
 
 def enumerate_classes(c: int, mode: Mode):
@@ -204,27 +187,25 @@ def _orbit_minima(ell: int, m: int, cs: list) -> list:
     number of its sequences that are their own orbit minimum.  A sequence
     ``s`` is a mirror-distinct minimum iff ``s <= reverse_negate(s)``, and
     a mirror-collapsed one iff in addition ``s <= negate(s)`` (that is,
-    ``s[0] < 0``) and ``s <= reverse(s)``.  The units share one pattern
-    and column table, dropped on return; every sequence of each is still
-    built and compared with its partners.
+    ``s[0] < 0``) and ``s <= reverse(s)``.  The units share one column
+    table and one index map, dropped on return; every sequence of each is
+    still built and compared with its partners.
     """
-    patterns, rn, rev, half = _unit_tables(ell, m)
-    columns = _columns(patterns, max(cs), ell, m)
-    # Each side's partners in one C call.  The negative-first half comes
-    # last: there s[0] < 0.  itemgetter of one index returns the bare item,
-    # not a 1-tuple, as in the two-pattern units.
-    rn_of = itemgetter(*rn)
-    rev_neg_of = itemgetter(*rev[half:]) if half > 1 else lambda seqs: (seqs[rev[1]],)
+    columns, rn, half = _unit_tables(ell, m, max(cs))
+    # Every partner of a block side in one C call (see _unit_tables).  The
+    # negative-first half comes last: there s[0] < 0, and r[k] is the
+    # reversal of seqs[half + k], so map stops at the end of seqs[half:].
+    partners_of = itemgetter(*rn)
     counts = []
     for c in cs:
         distinct = collapsed = 0
         for own, mirror in _blocks(c, ell, m, columns):
             pairs = ((own, own),) if mirror is own else ((own, mirror), (mirror, own))
             for seqs, partners in pairs:
-                below_rn = list(map(le, seqs, rn_of(partners)))
+                r = partners_of(partners)
+                below_rn = list(map(le, seqs, r))
                 distinct += below_rn.count(True)
-                collapsed += sum(map(and_, below_rn[half:],
-                                     map(le, seqs[half:], rev_neg_of(partners))))
+                collapsed += sum(map(and_, below_rn[half:], map(le, seqs[half:], r)))
         counts.append({Mode.MIRROR_DISTINCT: distinct, Mode.MIRROR_COLLAPSED: collapsed})
     return counts
 

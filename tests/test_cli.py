@@ -688,11 +688,15 @@ class TestBounds:
                 f"'--crossings': 40 is not in the range 3<=x<={cli.MAX_ENUM_C}",
             ),
             (
+                ["table1", "--max-c", "4", "--cutoff", "2"],
+                f"'--cutoff': 2 is not in the range 3<=x<={cli.MAX_ENUM_C}",
+            ),
+            (
                 ["--threads", "0", "table1", "--max-c", "4"],
                 "'--threads': '0' is not a positive integer or 'auto'",
             ),
         ],
-        ids=["formulas", "verify", "identities", "enumerate", "threads"],
+        ids=["formulas", "verify", "identities", "enumerate", "cutoff", "threads"],
     )
     def test_out_of_range_exits_2_before_any_work(self, runner, monkeypatch, args, named):
         def refuse(*_, **__):

@@ -27,7 +27,6 @@ from twobridge import enumeration
 from twobridge.enumeration import (
     _blocks,
     _class_keys,
-    _columns,
     _orbit_minima,
     _cpu_count,
     _unit_tables,
@@ -85,11 +84,16 @@ class TestSignPatterns:
                 assert list(sign_patterns(length, ell)) == list(loop_sign_patterns(length, ell))
 
     def test_rn_table_equals_explicit_lookup(self):
+        # Reversal is read from the same map, shifted by the negation offset.
         for m in range(1, 8):
             for ell in range(2 * m):
-                patterns, rn, _, _ = _unit_tables(ell, m)
+                patterns = list(sign_patterns(2 * m, ell))
+                n = len(patterns)
+                _, rn, half = _unit_tables(ell, m, 4 * m - ell)
                 index = {p: i for i, p in enumerate(patterns)}
                 assert rn == [index[tuple(-x for x in reversed(p))] for p in patterns]
+                assert 2 * half == n
+                assert [rn[(i + half) % n] for i in range(n)] == [index[p[::-1]] for p in patterns]
 
     def test_one_change(self):
         assert list(sign_patterns(2, 1)) == [(1, -1), (-1, 1)]
@@ -142,7 +146,7 @@ class TestBlocks:
         # blocks, as when one table serves every c of an (ell, m) group.
         for c in range(3, 17):
             for ell, m in strata(c):
-                patterns = _unit_tables(ell, m)[0]
+                patterns = list(sign_patterns(2 * m, ell))
                 want = [
                     [[tuple(2 * x * s for x, s in zip(mags, p)) for p in patterns]
                      for mags in (b, b[::-1])] + [b == b[::-1]]
@@ -151,7 +155,7 @@ class TestBlocks:
                 ]
                 for top in (c, c + 4):
                     got = [[own, mirror, mirror is own]
-                           for own, mirror in _blocks(c, ell, m, _columns(patterns, top, ell, m))]
+                           for own, mirror in _blocks(c, ell, m, _unit_tables(ell, m, top)[0])]
                     assert got == want, (c, top, ell, m)
 
 
@@ -269,15 +273,31 @@ class TestTally:
             assert c - 2 not in tally(c, D).by_ell
 
 class TestTallies:
-    def test_orbit_minima_equal_set_dedupe_per_unit(self):
+    def test_orbit_minima_equal_set_dedupe_per_unit(self, monkeypatch):
         # The set route counts distinct orbit minima; the kernel counts
         # sequences that are their own minimum.  Unit by unit, both modes,
-        # each (ell, m) group in one call.
-        for (ell, m), cs in groups(range(3, 17)).items():
-            for c, got in zip(cs, _orbit_minima(ell, m, cs), strict=True):
+        # each (ell, m) group in one call.  The set counts, rolled up by
+        # genus and by ell, are also what tallies reports, serially and
+        # through the recording pool.
+        cs = range(3, 17)
+        want = {(c, mode): ({}, {}) for c in cs for mode in (D, C)}
+        for (ell, m), group in groups(cs).items():
+            for c, got in zip(group, _orbit_minima(ell, m, group), strict=True):
                 for mode in (D, C):
                     keys = {canonicalize(s, mode).canonical for s in unit_sequences(c, ell, m)}
                     assert got[mode] == len(keys), (c, ell, m, mode)
+                    by_genus, by_ell = want[c, mode]
+                    by_genus[m] = by_genus.get(m, 0) + len(keys)
+                    n, genus_sum = by_ell.get(ell, (0, 0))
+                    by_ell[ell] = (n + len(keys), genus_sum + m * len(keys))
+        # pool_sizes leaves its recording pool in place for the run at 2.
+        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
+        assert pool_sizes(monkeypatch, cs, 2) == [2]
+        for threads in (1, 2):
+            found = tallies(cs, threads)
+            for (c, mode), (by_genus, by_ell) in want.items():
+                assert found[c][mode].by_genus == by_genus, (c, mode, threads)
+                assert found[c][mode].by_ell == by_ell, (c, mode, threads)
 
     def test_both_modes_match_tally(self):
         found = tallies(range(3, 13))
@@ -337,9 +357,9 @@ class TestTallies:
         # The recording pool maps in this process, so every table build is seen.
         built = Counter()
 
-        def counted(ell, m):
+        def counted(ell, m, c):
             built[ell, m] += 1
-            return _unit_tables(ell, m)
+            return _unit_tables(ell, m, c)
 
         monkeypatch.setattr(enumeration, "_unit_tables", counted)
         monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
