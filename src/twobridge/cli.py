@@ -7,13 +7,13 @@ Usage:
     twobridge knot --cf "2,-2"             # invariants of one presentation
     twobridge verify --max-c 14 --max-n 32 # identity and oracle sweeps
 
-Global flags: ``--format table|csv|json`` and ``--threads T`` (T is
-"auto" or a sign and ASCII digits, at least 1; the TWOBRIDGE_THREADS
-environment variable overrides the default).  A command starts at most
-one process pool, with no more workers than the CPUs the process may run
-on.  Rationals print as "p/q" in tables and CSV; JSON carries them as
-{"num": "...", "den": "..."} decimal strings, and unbounded integer
-columns as decimal strings, so consumers never face 64-bit overflow.
+Global flags: ``--format table|csv|json`` and ``--threads T`` (T is a
+sign and ASCII digits, at least 1; ``verify`` prints only ``table``).  A
+command starts at most one process pool, with no more workers than the
+CPUs the process may run on.  Rationals print as "p/q" in tables and
+CSV; JSON carries them as {"num": "...", "den": "..."} decimal strings,
+and unbounded integer columns as decimal strings, so consumers never
+face 64-bit overflow.
 Each command lifts the int/text digit limit once, in the group callback,
 before it parses ``--threads``, and restores it when its context closes,
 so it reads and prints integers of any length.
@@ -55,7 +55,7 @@ from .contfrac import (
     genus,
     sign_changes,
 )
-from .enumeration import _class_keys, _cpu_count, tallies
+from .enumeration import _class_keys, tallies
 from .knots import Mode, canonicalize, is_amphichiral
 
 # Largest crossing number a command enumerates, a work budget:
@@ -193,13 +193,10 @@ def _ok_text(ok: bool) -> str:
 def _parse_threads(value: str) -> int:
     # The token rule of sequence text; called once the digit limit is lifted.
     token = value.strip()
-    if token == "auto":
-        return _cpu_count()
     threads = int(token) if _INT_TOKEN.fullmatch(token) else 0
     if threads >= 1:
         return threads
-    raise click.BadParameter(f"{_shown(value)} is not a positive integer or 'auto'",
-                             param_hint="'--threads'")
+    raise click.BadParameter(f"{_shown(value)} is not a positive integer", param_hint="'--threads'")
 
 
 @click.group()
@@ -215,8 +212,7 @@ def _parse_threads(value: str) -> int:
     "--threads",
     default="1",
     show_default=True,
-    envvar="TWOBRIDGE_THREADS",
-    help="Worker processes for enumeration, at most one per CPU ('auto' for CPU count).",
+    help="Worker processes for enumeration, at most one per CPU and per (ell, m) group.",
 )
 @click.pass_context
 def main(ctx, fmt, threads):
@@ -364,8 +360,11 @@ def cmd_verify(ctx, max_c, max_n, identities_only):
     --identities is given, the closed-form totals in both modes and the
     per-stratum closed forms against enumeration for c up to --max-c.
     Exit status is a bitmask of failing suites: 1 identities, 2 closed
-    forms vs enumeration, 4 strata.
+    forms vs enumeration, 4 strata.  The report is text: --format table only.
     """
+    if ctx.obj["fmt"] != "table":
+        raise click.BadParameter(f"verify prints only 'table', not {ctx.obj['fmt']!r}",
+                                 param_hint="'--format'")
     suites = [(1, f"identities (n <= {max_n}):",
                [(str(rep), rep.passed) for rep in identities.identity_suite(max_n)])]
     if not identities_only:

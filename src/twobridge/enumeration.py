@@ -228,43 +228,43 @@ def tallies(cs, threads: int = 1) -> dict:
 
     Returns ``{c: {Mode: Tally}}``.  Each (c, ell, m) unit is walked once
     for both modes, and the units of one (ell, m) share its tables, built
-    once per call.  ``threads`` > 1 maps these (ell, m) groups over one
-    process pool, with at most one worker per group and per CPU, the
-    most total work first and a few to a task; results are merged in unit
-    order, so the outcome is identical to the serial run.  A ``threads``
-    that is not a positive ``int`` is refused before any unit runs.
+    once per call.  These groups are one task list, most work first, mapped
+    here or, with ``threads`` > 1, over one process pool with at most one
+    worker per group and per CPU.  Results fold in order of first appearance
+    (c, then ell, then m), so keys ascend and the outcome is the serial
+    run's.  A ``threads`` that is not a positive ``int`` is refused before
+    any unit runs.
     """
     _require_int("threads", threads, 1)
     cs = list(dict.fromkeys(cs))
-    units = [(c, ell, m) for c in cs for ell, m in strata(c)]
     groups = {}
-    for c, ell, m in units:
-        groups.setdefault((ell, m), []).append(c)
-    # Never more workers than groups to share or CPUs to run them: a pool
-    # starts all of its workers at once.
+    for c in cs:
+        for g in strata(c):
+            groups.setdefault(g, []).append(c)
+    # The most work first, so no worker starts a group late and runs alone.
+    order = sorted(groups, reverse=True,
+                   key=lambda g: sum(_unit_size(c, *g) for c in groups[g]))
+    tasks = (*zip(*order), [groups[g] for g in order])
+    # A pool starts every worker at once: never more than groups or CPUs.
     workers = min(threads, len(groups), _cpu_count())
     if workers > 1:
-        # The most work first, so no worker starts a group late and runs alone.
-        order = sorted(groups, reverse=True,
-                       key=lambda g: sum(_unit_size(c, *g) for c in groups[g]))
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = pool.map(_orbit_minima, *zip(*order), [groups[g] for g in order],
-                              chunksize=max(1, len(groups) // (8 * workers)))
-            done = dict(zip(order, counts))
+            done = dict(zip(order, pool.map(_orbit_minima, *tasks,
+                                            chunksize=max(1, len(groups) // (8 * workers)))))
     else:
-        done = {g: _orbit_minima(*g, group) for g, group in groups.items()}
-    minima = {(c, *g): n for g, group in groups.items() for c, n in zip(group, done[g])}
+        done = dict(zip(order, map(_orbit_minima, *tasks)))
 
     # Per (c, mode): knot count, total genus, by_genus, by_ell.
     acc = {(c, mode): [0, 0, {}, {}] for c in cs for mode in Mode}
-    for c, ell, m in units:
-        for mode, n in minima[c, ell, m].items():
-            a = acc[c, mode]
-            a[0] += n
-            a[1] += m * n
-            a[2][m] = a[2].get(m, 0) + n
-            cnt, gsum = a[3].get(ell, (0, 0))
-            a[3][ell] = (cnt + n, gsum + m * n)
+    for (ell, m), group in groups.items():
+        for c, counts in zip(group, done[ell, m]):
+            for mode, n in counts.items():
+                a = acc[c, mode]
+                a[0] += n
+                a[1] += m * n
+                a[2][m] = a[2].get(m, 0) + n
+                cnt, gsum = a[3].get(ell, (0, 0))
+                a[3][ell] = (cnt + n, gsum + m * n)
     return {c: {mode: Tally(c, mode, *acc[c, mode]) for mode in Mode} for c in cs}
 
 

@@ -573,7 +573,8 @@ class TestTable1:
         result = runner.invoke(main, ["--threads", "zero", "table1", "--max-c", "4"])
         assert result.exit_code != 0
 
-    def test_threads_env_var_and_flag_precedence(self, runner, monkeypatch):
+    def test_threads_env_var_ignored(self, runner, monkeypatch):
+        # --threads is the one source of the worker count.
         asked = []
         real = cli.tallies
 
@@ -582,48 +583,34 @@ class TestTable1:
             return real(cs)
 
         monkeypatch.setattr(cli, "tallies", spy)
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
-        env = {"TWOBRIDGE_THREADS": "2"}
-        assert runner.invoke(main, ["table1", "--max-c", "4"], env=env).exit_code == 0
-        args = ["--threads", "1", "table1", "--max-c", "4"]
-        assert runner.invoke(main, args, env=env).exit_code == 0
-        args = ["--threads", "auto", "table1", "--max-c", "4"]
-        assert runner.invoke(main, args, env=env).exit_code == 0
-        # Spaces around 'auto' are stripped, as around a number.
-        args = ["--threads", " auto", "table1", "--max-c", "4"]
-        assert runner.invoke(main, args, env=env).exit_code == 0
-        spaced = {"TWOBRIDGE_THREADS": "auto "}
-        assert runner.invoke(main, ["table1", "--max-c", "4"], env=spaced).exit_code == 0
-        assert asked == [2, 1, 3, 3, 3]
-        bad = runner.invoke(main, ["table1", "--max-c", "4"], env={"TWOBRIDGE_THREADS": "0"})
-        assert bad.exit_code == 2
-        assert ("Invalid value for '--threads': '0' is not a positive integer or 'auto'"
-                in bad.output)
+        for env in ({}, {"TWOBRIDGE_THREADS": "0"}, {"TWOBRIDGE_THREADS": "auto"}):
+            for args in ([], ["--threads", "2"]):
+                result = runner.invoke(main, [*args, "table1", "--max-c", "4"], env=env)
+                assert result.exit_code == 0, result.output
+        assert asked == [1, 2] * 3
 
 
 class TestThreadsText:
-    """--threads, or TWOBRIDGE_THREADS, is 'auto' or a sign and ASCII digits, at least 1."""
+    """--threads is a sign and ASCII digits, at least 1, passed as the flag."""
 
     @staticmethod
-    def invoke(runner, value, via):
-        args = ["formulas", "--max-c", "4"]
-        if via == "flag":
-            return runner.invoke(main, ["--threads", value, *args])
-        return runner.invoke(main, args, env={"TWOBRIDGE_THREADS": value})
+    def invoke(runner, value):
+        return runner.invoke(main, ["--threads", value, "formulas", "--max-c", "4"])
 
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_value_past_the_digit_limit_parses(self, runner, via):
-        result = self.invoke(runner, "9" * 5000, via)
+    @pytest.mark.parametrize("value", ["9" * 5000], ids=["flag"])
+    def test_value_past_the_digit_limit_parses(self, runner, value):
+        result = self.invoke(runner, value)
         assert result.exit_code == 0, result.output
         assert result.output == run(runner, "formulas", "--max-c", "4").output
 
-    @pytest.mark.parametrize("via", ["flag", "env"])
     @pytest.mark.parametrize(
-        "value", ["1_0", "\u0662", "x" * 5000], ids=["underscore", "arabic_indic_two", "5000x"]
+        "value",
+        ["1_0", "\u0662", "x" * 5000, "auto"],
+        ids=["underscore-flag", "arabic_indic_two-flag", "5000x-flag", "auto-flag"],
     )
-    def test_bad_token_refused_briefly(self, runner, value, via):
+    def test_bad_token_refused_briefly(self, runner, value):
         # int() alone would take "1_0" as 10 and the Arabic-Indic digit as 2.
-        result = self.invoke(runner, value, via)
+        result = self.invoke(runner, value)
         assert result.exit_code == 2
         assert "Invalid value for '--threads': " in result.output
         assert len(result.output.encode()) < 300, result.output
@@ -693,10 +680,15 @@ class TestBounds:
             ),
             (
                 ["--threads", "0", "table1", "--max-c", "4"],
-                "'--threads': '0' is not a positive integer or 'auto'",
+                "'--threads': '0' is not a positive integer",
+            ),
+            (
+                ["--format", "json", "verify", "--identities", "--max-n", "4"],
+                "'--format': verify prints only 'table', not 'json'",
             ),
         ],
-        ids=["formulas", "verify", "identities", "enumerate", "cutoff", "threads"],
+        ids=["formulas", "verify", "identities", "enumerate", "cutoff", "threads",
+             "verify_format"],
     )
     def test_out_of_range_exits_2_before_any_work(self, runner, monkeypatch, args, named):
         def refuse(*_, **__):

@@ -368,6 +368,18 @@ class TestTallies:
         # pool_sizes tallies twice: at ``threads`` and serially.
         assert built == Counter({g: 2 for g in groups(cs)})
 
+    @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+    def test_keys_ascend(self, monkeypatch, threads):
+        # Results fold by each group's first appearance, not in task order,
+        # which runs the largest groups first.
+        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
+        for cs in (range(3, 17), range(16, 2, -1)):
+            assert pool_sizes(monkeypatch, cs, threads) == ([2] if threads > 1 else [])
+            for by_mode in tallies(cs, threads).values():
+                for mode in (D, C):
+                    assert list(by_mode[mode].by_genus) == sorted(by_mode[mode].by_genus)
+                    assert list(by_mode[mode].by_ell) == sorted(by_mode[mode].by_ell)
+
     def test_one_pool_per_call(self, monkeypatch):
         started = []
 

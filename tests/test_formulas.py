@@ -268,3 +268,13 @@ class TestCheckTallies:
         verdicts = corrupt(found, 8, Mode.MIRROR_DISTINCT, by_ell=by_ell)
         assert verdicts[8] == (True, False)
         assert all(verdicts[c] == (True, True) for c in verdicts if c != 8)
+
+    def test_last_stratum_at_odd_c_flagged(self, found):
+        # At odd c the last stratum, ell = c - 2, holds knots (1 + symmetric).
+        by_ell = dict(found[9][Mode.MIRROR_DISTINCT].by_ell)
+        assert max(by_ell) == 7
+        count, gsum = by_ell[7]
+        by_ell[7] = (count + 1, gsum)
+        verdicts = corrupt(found, 9, Mode.MIRROR_DISTINCT, by_ell=by_ell)
+        assert verdicts[9] == (True, False)
+        assert all(verdicts[c] == (True, True) for c in verdicts if c != 9)

@@ -104,6 +104,13 @@ def test_weighted_sums_frozen_points():
     assert Fraction(2, 27) * ((16 - 1) * 4 - 6) == 4
 
 
+def test_weighted_sums_read_the_second_sum(monkeypatch):
+    # C(k, k) is read by the second sum alone, at q = n.
+    monkeypatch.setattr(identities, "comb", lambda n, k: comb(n, k) + (n == k))
+    report = weighted_sum_check(8)
+    assert report.counterexample == "second, n=1"
+
+
 def test_wellknown_spot_values():
     assert sum(comb(4, q) for q in range(5)) == 16
     assert sum(comb(5, 2 * q) for q in range(3)) == 16 == 2**4
