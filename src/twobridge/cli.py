@@ -10,10 +10,10 @@ Usage:
 Global flags: ``--format table|csv|json`` and ``--threads T`` (T is a
 sign and ASCII digits, at least 1; ``verify`` prints only ``table``).  A
 command starts at most one process pool, with no more workers than the
-CPUs the process may run on.  Rationals print as "p/q" in tables and
-CSV; JSON carries them as {"num": "...", "den": "..."} decimal strings,
-and unbounded integer columns as decimal strings, so consumers never
-face 64-bit overflow.
+CPUs the process may run on, each worker on its own CPU of them.
+Rationals print as "p/q" in tables and CSV; JSON carries them as
+{"num": "...", "den": "..."} decimal strings, and unbounded integer
+columns as decimal strings, so consumers never face 64-bit overflow.
 Each command lifts the int/text digit limit once, in the group callback,
 before it parses ``--threads``, and restores it when its context closes,
 so it reads and prints integers of any length.

@@ -210,11 +210,22 @@ def _orbit_minima(ell: int, m: int, cs: list) -> list:
     return counts
 
 
+def _cpus() -> list:
+    """Ids of the CPUs this process may run on, ascending; [] with no affinity call."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity set, where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(_cpus()) or os.cpu_count() or 1
+
+
+def _take_cpu(free) -> None:
+    """Pool initializer: run this worker on the next CPU id in ``free`` until the pool ends."""
+    try:
+        os.sched_setaffinity(0, {free.get()})
+    except OSError:  # placement only speeds the pool up; the worker stays where it is
+        pass
 
 
 def _unit_size(c: int, ell: int, m: int) -> int:
@@ -230,10 +241,11 @@ def tallies(cs, threads: int = 1) -> dict:
     for both modes, and the units of one (ell, m) share its tables, built
     once per call.  These groups are one task list, most work first, mapped
     here or, with ``threads`` > 1, over one process pool with at most one
-    worker per group and per CPU.  Results fold in order of first appearance
-    (c, then ell, then m), so keys ascend and the outcome is the serial
-    run's.  A ``threads`` that is not a positive ``int`` is refused before
-    any unit runs.
+    worker per group and per CPU, each worker on its own CPU of this
+    process's affinity set where the platform has one.  Results fold in
+    order of first appearance (c, then ell, then m), so keys ascend and the
+    outcome is the serial run's.  A ``threads`` that is not a positive
+    ``int`` is refused before any unit runs.
     """
     _require_int("threads", threads, 1)
     cs = list(dict.fromkeys(cs))
@@ -248,9 +260,21 @@ def tallies(cs, threads: int = 1) -> dict:
     # A pool starts every worker at once: never more than groups or CPUs.
     workers = min(threads, len(groups), _cpu_count())
     if workers > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(order, pool.map(_orbit_minima, *tasks,
-                                            chunksize=max(1, len(groups) // (8 * workers)))))
+        # Forked workers start on the parent's CPU and, in a short run, stay
+        # there: each takes one CPU of the parent's set instead.
+        place, cpus = {}, _cpus()
+        if cpus:
+            free = importlib.import_module("multiprocessing").SimpleQueue()
+            for k in range(workers):
+                free.put(cpus[k % len(cpus)])
+            place = {"initializer": _take_cpu, "initargs": (free,)}
+        try:
+            with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers, **place) as pool:
+                done = dict(zip(order, pool.map(_orbit_minima, *tasks,
+                                                chunksize=max(1, len(groups) // (8 * workers)))))
+        finally:
+            if cpus:
+                free.close()
     else:
         done = dict(zip(order, map(_orbit_minima, *tasks)))
 

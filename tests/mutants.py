@@ -60,6 +60,9 @@ MUTANTS = [
      "    for (ell, m), group in groups.items():\n        for c, counts in zip(group, done[ell, m]):\n",
      "    for ell, m in order:\n        for c, counts in zip(groups[ell, m], done[ell, m]):\n",
      ["tests/test_enumeration.py"]),
+    ("every pool worker takes the first CPU", "src/twobridge/enumeration.py",
+     "free.put(cpus[k % len(cpus)])", "free.put(cpus[0])",
+     ["tests/test_enumeration.py"]),
 ]
 
 # (name, file, old text, new text, why no test can kill it).

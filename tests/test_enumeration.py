@@ -422,17 +422,26 @@ class TestTallies:
             tally(9, D, threads=threads)
 
 
-def pool_sizes(monkeypatch, cs, threads):
+def pool_sizes(monkeypatch, cs, threads, placed=None):
     """max_workers of each pool that tallies(cs, threads) starts.
 
     The pool is a recording fake that maps serially and starts no
-    process; the counts must equal the serial run's.
+    process, so it runs no initializer; the counts must equal the serial
+    run's.  Each pool's initializer and the CPU ids its workers would
+    take, read from the initializer's queue, go into ``placed`` if given:
+    ``(None, [])`` for a pool started with no initializer.
     """
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
+            ids = []
+            for free in initargs:
+                while not free.empty():
+                    ids.append(free.get())
+            if placed is not None:
+                placed.append((initializer, ids))
 
         def __enter__(self):
             return self
@@ -466,10 +475,82 @@ class TestWorkerCount:
         assert pool_sizes(monkeypatch, range(3, 13), 10**6) == []
 
     def test_cpu_count_without_affinity_call(self, monkeypatch):
+        # The pool still starts, with no placement to make.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert _cpu_count() == 6
-        assert pool_sizes(monkeypatch, range(3, 13), 10**6) == [6]
+        placed = []
+        assert pool_sizes(monkeypatch, range(3, 13), 10**6, placed) == [6]
+        assert placed == [(None, [])]
+
+    def test_one_cpu_per_worker_in_affinity_order(self, monkeypatch):
+        # The recording pool runs no initializer, so nothing here is pinned.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 3}, raising=False)
+        placed = []
+        assert pool_sizes(monkeypatch, range(3, 13), 8, placed) == [3]
+        assert pool_sizes(monkeypatch, range(3, 13), 2, placed) == [2]
+        # Ids repeat only when the worker count passes the affinity set's size.
+        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 5)
+        assert pool_sizes(monkeypatch, range(3, 13), 8, placed) == [5]
+        assert placed == [(enumeration._take_cpu, [0, 3, 5]),
+                          (enumeration._take_cpu, [0, 3]),
+                          (enumeration._take_cpu, [0, 3, 5, 0, 3])]
+
+    def test_refused_placement_fails_no_count(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError("not permitted")
+
+        class Free:
+            def get(self):
+                return 1
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        assert enumeration._take_cpu(Free()) is None
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or _cpu_count() < 2,
+                        reason="needs an affinity call and two CPUs")
+    def test_workers_pinned_to_distinct_cpus(self, tmp_path):
+        # In a fresh interpreter, through the real pool: each worker reports
+        # its affinity once its initializer has run.  A script file, so a
+        # start method that re-imports the main module can find the probe.
+        script = tmp_path / "probe.py"
+        script.write_text(
+            "import json, multiprocessing, os\n"
+            "from twobridge import enumeration\n"
+            "from twobridge.enumeration import tallies\n"
+            "\n"
+            "def probe(initializer, initargs, seen):\n"
+            "    initializer(*initargs)\n"
+            "    seen.put((os.getpid(), sorted(os.sched_getaffinity(0))))\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    seen, reports = multiprocessing.Queue(), []\n"
+            "\n"
+            "    class Probe(enumeration.ProcessPoolExecutor):\n"
+            "        def __init__(self, max_workers, initializer, initargs):\n"
+            "            super().__init__(max_workers, initializer=probe,\n"
+            "                             initargs=(initializer, initargs, seen))\n"
+            "\n"
+            "        def __exit__(self, *exc):\n"
+            "            started = len(self._processes)\n"
+            "            reports.extend(seen.get(timeout=60) for _ in range(started))\n"
+            "            return super().__exit__(*exc)\n"
+            "\n"
+            "    enumeration.ProcessPoolExecutor = Probe\n"
+            "    before = sorted(os.sched_getaffinity(0))\n"
+            "    same = tallies(range(3, 15), threads=2) == tallies(range(3, 15))\n"
+            "    seen.close()\n"
+            "    print(json.dumps([before, sorted(os.sched_getaffinity(0)), same, reports]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(enumeration.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, str(script)], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        before, after, same, reports = json.loads(out)
+        assert after == before and same
+        assert len({pid for pid, _ in reports}) == len(reports) == 2
+        assert all(len(cpus) == 1 for _, cpus in reports)
+        assert sorted(cpu for _, [cpu] in reports) == before[:2]
 
     def test_affinity_counts_not_the_machine(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
