@@ -10,7 +10,8 @@ Usage:
 Global flags: ``--format table|csv|json`` and ``--threads T`` (T is a
 sign and ASCII digits, at least 1; ``verify`` prints only ``table``).  A
 command starts at most one process pool, with no more workers than the
-CPUs the process may run on, each worker on its own CPU of them.
+CPUs the process may run on; once the workers start, it moves each to
+its own CPU of them.
 Rationals print as "p/q" in tables and CSV; JSON carries them as
 {"num": "...", "den": "..."} decimal strings, and unbounded integer
 columns as decimal strings, so consumers never face 64-bit overflow.

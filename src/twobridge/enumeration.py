@@ -220,14 +220,6 @@ def _cpu_count() -> int:
     return len(_cpus()) or os.cpu_count() or 1
 
 
-def _take_cpu(free) -> None:
-    """Pool initializer: run this worker on the next CPU id in ``free`` until the pool ends."""
-    try:
-        os.sched_setaffinity(0, {free.get()})
-    except OSError:  # placement only speeds the pool up; the worker stays where it is
-        pass
-
-
 def _unit_size(c: int, ell: int, m: int) -> int:
     # Sequences in a (c, ell, m) unit, up to the factor 2 of the leading
     # sign: compositions of (c + ell)/2 into 2m parts times change positions.
@@ -241,8 +233,9 @@ def tallies(cs, threads: int = 1) -> dict:
     for both modes, and the units of one (ell, m) share its tables, built
     once per call.  These groups are one task list, most work first, mapped
     here or, with ``threads`` > 1, over one process pool with at most one
-    worker per group and per CPU, each worker on its own CPU of this
-    process's affinity set where the platform has one.  Results fold in
+    worker per group and per CPU.  Once map has started the workers, this
+    process moves each to its own CPU of its affinity set, where the
+    platform has one, and leaves its other children alone.  Results fold in
     order of first appearance (c, then ell, then m), so keys ascend and the
     outcome is the serial run's.  A ``threads`` that is not a positive
     ``int`` is refused before any unit runs.
@@ -260,21 +253,19 @@ def tallies(cs, threads: int = 1) -> dict:
     # A pool starts every worker at once: never more than groups or CPUs.
     workers = min(threads, len(groups), _cpu_count())
     if workers > 1:
-        # Forked workers start on the parent's CPU and, in a short run, stay
-        # there: each takes one CPU of the parent's set instead.
-        place, cpus = {}, _cpus()
-        if cpus:
-            free = importlib.import_module("multiprocessing").SimpleQueue()
-            for k in range(workers):
-                free.put(cpus[k % len(cpus)])
-            place = {"initializer": _take_cpu, "initargs": (free,)}
-        try:
-            with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers, **place) as pool:
-                done = dict(zip(order, pool.map(_orbit_minima, *tasks,
-                                                chunksize=max(1, len(groups) // (8 * workers)))))
-        finally:
-            if cpus:
-                free.close()
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+            children = importlib.import_module("multiprocessing").active_children
+            others = set(children())
+            minima = pool.map(_orbit_minima, *tasks, chunksize=max(1, len(groups) // (8 * workers)))
+            # Forked workers start on this process's CPU and, in a short run,
+            # stay there: once map has started them, move each child the pool
+            # added to its own CPU of this process's set.  The caller's stay.
+            for cpu, worker in zip(_cpus(), set(children()) - others):
+                try:
+                    os.sched_setaffinity(worker.pid, {cpu})
+                except OSError:  # placement only speeds the pool up
+                    pass
+            done = dict(zip(order, minima))
     else:
         done = dict(zip(order, map(_orbit_minima, *tasks)))
 

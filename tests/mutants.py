@@ -61,8 +61,17 @@ MUTANTS = [
      "    for ell, m in order:\n        for c, counts in zip(groups[ell, m], done[ell, m]):\n",
      ["tests/test_enumeration.py"]),
     ("every pool worker takes the first CPU", "src/twobridge/enumeration.py",
-     "free.put(cpus[k % len(cpus)])", "free.put(cpus[0])",
+     "os.sched_setaffinity(worker.pid, {cpu})", "os.sched_setaffinity(worker.pid, {_cpus()[0]})",
      ["tests/test_enumeration.py"]),
+    ("pins every live child", "src/twobridge/enumeration.py",
+     "set(children()) - others", "set(children())",
+     ["tests/test_enumeration.py"]),
+    ("tallies counts a repeated crossing number again", "src/twobridge/enumeration.py",
+     "cs = list(dict.fromkeys(cs))", "cs = list(cs)",
+     ["tests/test_enumeration.py"]),
+    ("x2_specialization_check skips beta", "src/twobridge/identities.py",
+     "            if beta_sum(n, 2) != ", "            if False and beta_sum(n, 2) != ",
+     ["tests/test_identities.py"]),
 ]
 
 # (name, file, old text, new text, why no test can kill it).

@@ -309,6 +309,13 @@ class TestTallies:
     def test_parallel_equals_serial(self):
         assert tallies(range(3, 15), threads=2) == tallies(range(3, 15), threads=1)
 
+    @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+    def test_repeated_crossing_number_counted_once(self, threads):
+        # Keys in first-appearance order; a repeated c adds nothing.
+        once = tallies([12, 5], threads)
+        assert once[12][D].knot_count == 341
+        assert list(tallies([12, 12, 5], threads).items()) == list(once.items())
+
     def test_pool_module_loads_only_with_a_pool(self):
         # In a fresh interpreter: this process may have loaded it already.
         code = (
@@ -422,34 +429,41 @@ class TestTallies:
             tally(9, D, threads=threads)
 
 
-def pool_sizes(monkeypatch, cs, threads, placed=None):
+class Child:
+    """A stand-in for a live multiprocessing child: a pid, hashed by identity."""
+
+    def __init__(self, pid):
+        self.pid = pid
+
+
+def pool_sizes(monkeypatch, cs, threads, live=None):
     """max_workers of each pool that tallies(cs, threads) starts.
 
     The pool is a recording fake that maps serially and starts no
-    process, so it runs no initializer; the counts must equal the serial
-    run's.  Each pool's initializer and the CPU ids its workers would
-    take, read from the initializer's queue, go into ``placed`` if given:
-    ``(None, [])`` for a pool started with no initializer.
+    process; the counts must equal the serial run's.  Given ``live``, a
+    list standing for this process's live children, each pool adds one
+    fake worker per max_workers to it when it maps, as a real pool's
+    workers appear once map starts them, and takes them out on exit.
     """
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
+        def __init__(self, max_workers):
             started.append(max_workers)
-            ids = []
-            for free in initargs:
-                while not free.empty():
-                    ids.append(free.get())
-            if placed is not None:
-                placed.append((initializer, ids))
+            self.workers = [Child(10_000 + 100 * len(started) + k) for k in range(max_workers)]
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            if live is not None:
+                for worker in self.workers:
+                    live.remove(worker)
             return False
 
         def map(self, fn, *iterables, chunksize=1):
+            if live is not None:
+                live.extend(self.workers)
             return map(fn, *iterables)
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
@@ -479,75 +493,92 @@ class TestWorkerCount:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert _cpu_count() == 6
-        placed = []
-        assert pool_sizes(monkeypatch, range(3, 13), 10**6, placed) == [6]
-        assert placed == [(None, [])]
+        moved = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *call: moved.append(call),
+                            raising=False)
+        live = []
+        monkeypatch.setattr("multiprocessing.active_children", lambda: list(live))
+        assert pool_sizes(monkeypatch, range(3, 13), 10**6, live) == [6]
+        assert moved == []
 
     def test_one_cpu_per_worker_in_affinity_order(self, monkeypatch):
-        # The recording pool runs no initializer, so nothing here is pinned.
+        # The recording pool's fake workers join the live children once it
+        # maps, beside one child of the caller's own, which must stay put.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 3}, raising=False)
-        placed = []
-        assert pool_sizes(monkeypatch, range(3, 13), 8, placed) == [3]
-        assert pool_sizes(monkeypatch, range(3, 13), 2, placed) == [2]
-        # Ids repeat only when the worker count passes the affinity set's size.
-        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 5)
-        assert pool_sizes(monkeypatch, range(3, 13), 8, placed) == [5]
-        assert placed == [(enumeration._take_cpu, [0, 3, 5]),
-                          (enumeration._take_cpu, [0, 3]),
-                          (enumeration._take_cpu, [0, 3, 5, 0, 3])]
+        moved = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *call: moved.append(call),
+                            raising=False)
+        own = Child(7)
+        live = [own]
+        monkeypatch.setattr("multiprocessing.active_children", lambda: list(live))
+        for threads, cpus in ((8, {0, 3, 5}), (2, {0, 3})):
+            moved.clear()
+            assert pool_sizes(monkeypatch, range(3, 13), threads, live) == [len(cpus)]
+            assert live == [own]
+            # One call per worker, each to one CPU, no two alike.
+            assert own.pid not in {pid for pid, _ in moved}
+            assert len({pid for pid, _ in moved}) == len(moved) == len(cpus)
+            assert all(len(cpu) == 1 for _, cpu in moved)
+            assert set().union(*(cpu for _, cpu in moved)) == cpus
 
     def test_refused_placement_fails_no_count(self, monkeypatch):
+        refused = []
+
         def refuse(pid, cpus):
+            refused.append(pid)
             raise OSError("not permitted")
 
-        class Free:
-            def get(self):
-                return 1
-
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-        assert enumeration._take_cpu(Free()) is None
+        live = []
+        monkeypatch.setattr("multiprocessing.active_children", lambda: list(live))
+        # pool_sizes requires the counts to equal the serial run's.
+        assert pool_sizes(monkeypatch, range(3, 13), 2, live) == [2]
+        assert len(refused) == 2
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or _cpu_count() < 2,
                         reason="needs an affinity call and two CPUs")
     def test_workers_pinned_to_distinct_cpus(self, tmp_path):
-        # In a fresh interpreter, through the real pool: each worker reports
-        # its affinity once its initializer has run.  A script file, so a
-        # start method that re-imports the main module can find the probe.
+        # In a fresh interpreter, through the real pool: the probe reads each
+        # worker's affinity from outside before the pool shuts down, and the
+        # affinity of a child the probe started itself, which tallies must not
+        # move.  A script file, so a start method that re-imports the main
+        # module can find the child's target.
         script = tmp_path / "probe.py"
         script.write_text(
             "import json, multiprocessing, os\n"
             "from twobridge import enumeration\n"
             "from twobridge.enumeration import tallies\n"
             "\n"
-            "def probe(initializer, initargs, seen):\n"
-            "    initializer(*initargs)\n"
-            "    seen.put((os.getpid(), sorted(os.sched_getaffinity(0))))\n"
+            "def wait(stop):\n"
+            "    stop.wait(60)\n"
             "\n"
             "if __name__ == '__main__':\n"
-            "    seen, reports = multiprocessing.Queue(), []\n"
+            "    reports = []\n"
             "\n"
             "    class Probe(enumeration.ProcessPoolExecutor):\n"
-            "        def __init__(self, max_workers, initializer, initargs):\n"
-            "            super().__init__(max_workers, initializer=probe,\n"
-            "                             initargs=(initializer, initargs, seen))\n"
-            "\n"
             "        def __exit__(self, *exc):\n"
-            "            started = len(self._processes)\n"
-            "            reports.extend(seen.get(timeout=60) for _ in range(started))\n"
+            "            reports.extend((pid, sorted(os.sched_getaffinity(pid)))\n"
+            "                           for pid in self._processes)\n"
             "            return super().__exit__(*exc)\n"
             "\n"
             "    enumeration.ProcessPoolExecutor = Probe\n"
+            "    stop = multiprocessing.Event()\n"
+            "    own = multiprocessing.Process(target=wait, args=(stop,))\n"
+            "    own.start()\n"
             "    before = sorted(os.sched_getaffinity(0))\n"
             "    same = tallies(range(3, 15), threads=2) == tallies(range(3, 15))\n"
-            "    seen.close()\n"
-            "    print(json.dumps([before, sorted(os.sched_getaffinity(0)), same, reports]))\n"
+            "    kept = sorted(os.sched_getaffinity(own.pid))\n"
+            "    stop.set()\n"
+            "    own.join()\n"
+            "    print(json.dumps([before, sorted(os.sched_getaffinity(0)), kept, same, reports]))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(enumeration.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, str(script)], env=env, check=True,
+        out = subprocess.run([sys.executable, "-W", "error", str(script)], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
-        before, after, same, reports = json.loads(out)
-        assert after == before and same
+        before, after, kept, same, reports = json.loads(out)
+        assert after == before == kept and same
         assert len({pid for pid, _ in reports}) == len(reports) == 2
         assert all(len(cpus) == 1 for _, cpus in reports)
         assert sorted(cpu for _, [cpu] in reports) == before[:2]

@@ -93,6 +93,14 @@ def test_specialization_at_two():
         assert beta_sum(n, 2) == Fraction(2 * 4**n + 1, 3)
 
 
+def test_specialization_reads_beta(monkeypatch):
+    # beta_sum wrong at n = 7 only, where alpha_sum is right.
+    real = identities.beta_sum
+    monkeypatch.setattr(identities, "beta_sum", lambda n, x: real(n, x) + (n == 7))
+    report = x2_specialization_check(16)
+    assert report.counterexample == "beta n=7"
+
+
 def test_weighted_sums_frozen_points():
     # n = 1: the first sum has a single zero-weight term; the second is 2.
     assert sum(q * 2**q * comb(1 - q, q) for q in range(1)) == 0
