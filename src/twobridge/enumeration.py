@@ -210,16 +210,6 @@ def _orbit_minima(ell: int, m: int, cs: list) -> list:
     return counts
 
 
-def _cpus() -> list:
-    """Ids of the CPUs this process may run on, ascending; [] with no affinity call."""
-    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set, where the platform has one."""
-    return len(_cpus()) or os.cpu_count() or 1
-
-
 def _unit_size(c: int, ell: int, m: int) -> int:
     # Sequences in a (c, ell, m) unit, up to the factor 2 of the leading
     # sign: compositions of (c + ell)/2 into 2m parts times change positions.
@@ -235,10 +225,11 @@ def tallies(cs, threads: int = 1) -> dict:
     here or, with ``threads`` > 1, over one process pool with at most one
     worker per group and per CPU.  Once map has started the workers, this
     process moves each to its own CPU of its affinity set, where the
-    platform has one, and leaves its other children alone.  Results fold in
-    order of first appearance (c, then ell, then m), so keys ascend and the
-    outcome is the serial run's.  A ``threads`` that is not a positive
-    ``int`` is refused before any unit runs.
+    platform has one, and leaves its other children alone; the set is read
+    once per call, for both the worker count and the placement.  Results
+    fold in order of first appearance (c, then ell, then m), so keys ascend
+    and the outcome is the serial run's.  A ``threads`` that is not a
+    positive ``int`` is refused before any unit runs.
     """
     _require_int("threads", threads, 1)
     cs = list(dict.fromkeys(cs))
@@ -250,8 +241,11 @@ def tallies(cs, threads: int = 1) -> dict:
     order = sorted(groups, reverse=True,
                    key=lambda g: sum(_unit_size(c, *g) for c in groups[g]))
     tasks = (*zip(*order), [groups[g] for g in order])
+    # The CPUs this process may run on, read once for the clamp and the
+    # placement; [] where the platform has no affinity call.
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     # A pool starts every worker at once: never more than groups or CPUs.
-    workers = min(threads, len(groups), _cpu_count())
+    workers = min(threads, len(groups), len(cpus) or os.cpu_count() or 1)
     if workers > 1:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             children = importlib.import_module("multiprocessing").active_children
@@ -260,7 +254,7 @@ def tallies(cs, threads: int = 1) -> dict:
             # Forked workers start on this process's CPU and, in a short run,
             # stay there: once map has started them, move each child the pool
             # added to its own CPU of this process's set.  The caller's stay.
-            for cpu, worker in zip(_cpus(), set(children()) - others):
+            for cpu, worker in zip(cpus, set(children()) - others):
                 try:
                     os.sched_setaffinity(worker.pid, {cpu})
                 except OSError:  # placement only speeds the pool up

@@ -61,7 +61,10 @@ MUTANTS = [
      "    for ell, m in order:\n        for c, counts in zip(groups[ell, m], done[ell, m]):\n",
      ["tests/test_enumeration.py"]),
     ("every pool worker takes the first CPU", "src/twobridge/enumeration.py",
-     "os.sched_setaffinity(worker.pid, {cpu})", "os.sched_setaffinity(worker.pid, {_cpus()[0]})",
+     "os.sched_setaffinity(worker.pid, {cpu})", "os.sched_setaffinity(worker.pid, {cpus[0]})",
+     ["tests/test_enumeration.py"]),
+    ("clamp ignores the affinity set", "src/twobridge/enumeration.py",
+     "len(cpus) or os.cpu_count() or 1", "os.cpu_count() or 1",
      ["tests/test_enumeration.py"]),
     ("pins every live child", "src/twobridge/enumeration.py",
      "set(children()) - others", "set(children())",

@@ -28,7 +28,6 @@ from twobridge.enumeration import (
     _blocks,
     _class_keys,
     _orbit_minima,
-    _cpu_count,
     _unit_tables,
     compositions,
     sign_patterns,
@@ -291,7 +290,7 @@ class TestTallies:
                     n, genus_sum = by_ell.get(ell, (0, 0))
                     by_ell[ell] = (n + len(keys), genus_sum + m * len(keys))
         # pool_sizes leaves its recording pool in place for the run at 2.
-        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert pool_sizes(monkeypatch, cs, 2) == [2]
         for threads in (1, 2):
             found = tallies(cs, threads)
@@ -335,8 +334,9 @@ class TestTallies:
         before, same, after = json.loads(out)
         assert before == [] and same
         # A pool starts only with two CPUs to run it.
-        assert after == (["concurrent.futures", "multiprocessing"]
-                         if _cpu_count() > 1 else [])
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        assert after == (["concurrent.futures", "multiprocessing"] if cpus > 1 else [])
 
     def test_pool_takes_groups_largest_first(self, monkeypatch):
         handed = []
@@ -348,7 +348,7 @@ class TestTallies:
                 return super().map(fn, *zip(*tasks), chunksize=chunksize)
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cs = range(3, 19)
         assert tallies(cs, threads=2) == tallies(cs)
         [(tasks, chunksize)] = handed
@@ -369,7 +369,7 @@ class TestTallies:
             return _unit_tables(ell, m, c)
 
         monkeypatch.setattr(enumeration, "_unit_tables", counted)
-        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cs = range(3, 17)
         assert pool_sizes(monkeypatch, cs, threads) == ([2] if threads > 1 else [])
         # pool_sizes tallies twice: at ``threads`` and serially.
@@ -379,7 +379,7 @@ class TestTallies:
     def test_keys_ascend(self, monkeypatch, threads):
         # Results fold by each group's first appearance, not in task order,
         # which runs the largest groups first.
-        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for cs in (range(3, 17), range(16, 2, -1)):
             assert pool_sizes(monkeypatch, cs, threads) == ([2] if threads > 1 else [])
             for by_mode in tallies(cs, threads).values():
@@ -396,7 +396,7 @@ class TestTallies:
                 started.append(kwargs["max_workers"])
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         tallies(range(3, 13), threads=2)
         assert started == [2]
 
@@ -422,11 +422,54 @@ class TestTallies:
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(enumeration, "_orbit_minima", refuse)
-        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         with pytest.raises(error, match=named):
             tallies([9], threads=threads)
         with pytest.raises(error, match=named):
             tally(9, D, threads=threads)
+
+
+def burnside_unit(c, ell, m):
+    """Classes of the (c, ell, m) unit in both modes, by Burnside's lemma in binomials.
+
+    With T = (c + ell)/2 the unit has |X| = 2 C(T-1, 2m-1) C(2m-1, ell)
+    sequences.  A reverse-negation fixed point has palindromic magnitudes
+    and a sign change at the middle, so it needs odd ell and even T; a
+    reversal fixed point needs even ell and even T; negation fixes none.
+    Mode D counts orbits of {1, rn}, mode C of {1, rn, rev, neg}.
+    """
+    t = (c + ell) // 2
+    size = 2 * comb(t - 1, 2 * m - 1) * comb(2 * m - 1, ell)
+    halves = 2 * comb(t // 2 - 1, m - 1) if t % 2 == 0 else 0
+    fix_rn = halves * comb(m - 1, (ell - 1) // 2) if ell % 2 else 0
+    fix_rev = 0 if ell % 2 else halves * comb(m - 1, ell // 2)
+    distinct, odd = divmod(size + fix_rn, 2)
+    collapsed, rest = divmod(size + fix_rn + fix_rev, 4)
+    assert odd == rest == 0, (c, ell, m)
+    return {D: distinct, C: collapsed}
+
+
+class TestBurnside:
+    def test_unit_counts_equal_orbit_minima(self):
+        for (ell, m), cs in groups(range(3, 21)).items():
+            for c, counts in zip(cs, _orbit_minima(ell, m, cs), strict=True):
+                assert counts == burnside_unit(c, ell, m), (c, ell, m)
+
+    def test_roll_up_equals_tallies(self):
+        # The genus histogram and the strata, both modes, to c = 22: past
+        # the set route (c <= 16) and the unit check above.
+        cs = range(3, 23)
+        found = tallies(cs)
+        for c in cs:
+            for mode in (D, C):
+                by_genus, by_ell = {}, {}
+                for ell, m in strata(c):
+                    n = burnside_unit(c, ell, m)[mode]
+                    by_genus[m] = by_genus.get(m, 0) + n
+                    count, genus_sum = by_ell.get(ell, (0, 0))
+                    by_ell[ell] = (count + n, genus_sum + m * n)
+                assert found[c][mode].by_genus == by_genus, (c, mode)
+                assert found[c][mode].by_ell == by_ell, (c, mode)
 
 
 class Child:
@@ -475,7 +518,7 @@ class TestWorkerCount:
     # A pool task is one (ell, m) group: [3, 5] holds three units in two
     # groups, and range(3, 13) holds 44 units in 18 groups.
     def test_huge_request_clamped_to_cpus_and_units(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert pool_sizes(monkeypatch, range(3, 13), 10**6) == [4]
         assert pool_sizes(monkeypatch, [3, 5], 10**6) == [2]
         assert pool_sizes(monkeypatch, range(3, 13), 2) == [2]
@@ -485,14 +528,12 @@ class TestWorkerCount:
         # A platform with no affinity call falls back on the CPU count.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _cpu_count() == 1
         assert pool_sizes(monkeypatch, range(3, 13), 10**6) == []
 
     def test_cpu_count_without_affinity_call(self, monkeypatch):
         # The pool still starts, with no placement to make.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert _cpu_count() == 6
         moved = []
         monkeypatch.setattr(os, "sched_setaffinity", lambda *call: moved.append(call),
                             raising=False)
@@ -536,7 +577,8 @@ class TestWorkerCount:
         assert pool_sizes(monkeypatch, range(3, 13), 2, live) == [2]
         assert len(refused) == 2
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or _cpu_count() < 2,
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
                         reason="needs an affinity call and two CPUs")
     def test_workers_pinned_to_distinct_cpus(self, tmp_path):
         # In a fresh interpreter, through the real pool: the probe reads each
@@ -586,8 +628,28 @@ class TestWorkerCount:
     def test_affinity_counts_not_the_machine(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert _cpu_count() == 3
         assert pool_sizes(monkeypatch, range(3, 13), 8) == [3]
+
+    def test_affinity_read_once_per_call(self, monkeypatch):
+        # A set that changes after its first read: the clamp and the
+        # placement must both follow that one read.
+        reads = []
+
+        def affinity(pid):
+            reads.append(pid)
+            return {0, 1, 2} if len(reads) == 1 else {7}
+
+        monkeypatch.setattr(os, "sched_getaffinity", affinity, raising=False)
+        moved = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *call: moved.append(call),
+                            raising=False)
+        live = []
+        monkeypatch.setattr("multiprocessing.active_children", lambda: list(live))
+        assert pool_sizes(monkeypatch, range(3, 13), 8, live) == [3]
+        assert len({pid for pid, _ in moved}) == len(moved) == 3
+        assert set().union(*(cpu for _, cpu in moved)) == {0, 1, 2}
+        # pool_sizes tallies twice: at 8 threads and serially.
+        assert len(reads) <= 2
 
     def test_affinity_of_one_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
