@@ -60,8 +60,9 @@ from .enumeration import _class_keys, tallies
 from .knots import Mode, canonicalize, is_amphichiral
 
 # Largest crossing number a command enumerates, a work budget:
-# tallies([24]) took 1.0 to 1.3 s on a shared 2-vCPU host with Python 3.11,
-# and each +2 in c costs about 4 times more.
+# tallies([24]) took 0.26 to 0.27 s and tallies([26]) 1.05 to 1.20 s on a
+# shared 2-vCPU host with Python 3.11, and each +2 in c costs about 4 times
+# more.
 MAX_ENUM_C = 26
 
 # Largest n of the identity checks, a work budget: wellknown_check is

@@ -14,9 +14,9 @@ import importlib
 import os
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, combinations, compress, islice
 from math import comb
-from operator import and_, itemgetter, le, mul, sub
+from operator import itemgetter, mul, sub
 
 from .contfrac import EvenSequence, _require_int
 from .knots import KnotClass, Mode, _require_mode
@@ -179,6 +179,58 @@ class Tally:
     by_ell: dict
 
 
+def _packed_tables(ell: int, m: int, c: int):
+    """Packed masks of the (ell, m) units for crossing numbers up to ``c``.
+
+    A sequence 2x * p is coded by the digits x_j * p_j + top in base
+    2**bits, the first entry most significant, for top the largest part a
+    composition of (c + ell)/2 into 2m parts can have.  Digits lie in
+    [0, 2 top] and every code of a unit has 2m of them, so numeric order
+    of codes is tuple order of sequences.  A field is whole bytes: the
+    code, then a guard bit, zero in every code.
+
+    With P sign patterns in ``sign_patterns`` order, the negative-first
+    half the negations of the first, one big int per composition b holds
+    P fields, code(reverse_negate(s)) - code(s) for each sequence s in
+    pattern order, and above them P/2 fields, code(reverse(s)) - code(s)
+    for each negative-first s.  Both are linear in b: the reverse-negation
+    of b * p has digit -b_j * p_j at the mirrored position 2m - 1 - j, and
+    the reversal of a negative-first sequence is the reverse-negation of
+    its negation, so top cancels.  Written over the cut points
+    k_1 < ... < k_{2m-1} of b, with k_0 = 0 and k_{2m} = (c + ell)/2
+    (Abel summation), the int is sum_j k_j (A_{j-1} - A_j) + k_{2m} A_{2m-1}
+    for A_j the coefficient of b_j.
+
+    Returns ``(steps, end, guards, shift)``: the coefficients of
+    k_1..k_{2m-1}, A_{2m-1}, the guard bit of all 3P/2 fields, and the
+    width of P/2 fields.  Each A_j is dropped once its step is formed.
+    """
+    digits = 2 * m
+    half = comb(digits - 1, ell)  # the positive-first patterns, which sign_patterns yields first
+    bits = (2 * ((c + ell) // 2 - digits + 1)).bit_length()
+    size = bits * digits // 8 + 1  # bytes per field: the code and its guard bit
+    shift = 8 * size * half
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * half, "little")
+    field = bytearray(size * half)
+    steps = []
+    for j, signs in enumerate(zip(*islice(sign_patterns(digits, ell), half))):
+        # One byte per positive-first pattern, 2 for +1 and 0 for -1, so
+        # that ``sign`` is +1 or -1 in each of P/2 fields: the sign at
+        # position j.  sign - (sign << shift) adds the negated signs of the
+        # negative-first patterns above them.
+        field[::size] = bytes(map((1).__add__, signs))
+        sign = int.from_bytes(field, "little") - ones
+        # The weights of entry j in a sequence's code and in its partner's.
+        own, mirrored = 1 << bits * (digits - 1 - j), 1 << bits * j
+        coefficient = ((sign * (own - mirrored) << 2 * shift)
+                       - (sign - (sign << shift)) * (own + mirrored))
+        if j:
+            steps.append(previous - coefficient)
+        previous = coefficient
+    guards = (ones + (ones << shift) + (ones << 2 * shift)) << bits * digits
+    return steps, previous, guards, shift
+
+
 def _orbit_minima(ell: int, m: int, cs: list) -> list:
     """Class counts in both modes of the (c, ell, m) unit for each c in ``cs``, without a set.
 
@@ -187,25 +239,31 @@ def _orbit_minima(ell: int, m: int, cs: list) -> list:
     number of its sequences that are their own orbit minimum.  A sequence
     ``s`` is a mirror-distinct minimum iff ``s <= reverse_negate(s)``, and
     a mirror-collapsed one iff in addition ``s <= negate(s)`` (that is,
-    ``s[0] < 0``) and ``s <= reverse(s)``.  The units share one column
-    table and one index map, dropped on return; every sequence of each is
-    still built and compared with its partners.
+    ``s[0] < 0``) and ``s <= reverse(s)``.
+
+    Per composition, one sum over its cut points packs the code
+    differences of every sequence and its partners (see
+    ``_packed_tables``).  With a guard bit added, each field lies in
+    [1, 2**width): no borrow crosses a field, and its guard bit is set
+    iff the partner is not below the sequence.  So one bit count of the
+    first P guard bits gives the mirror-distinct minima, and one of the
+    negative-first half of them ANDed with the reversal fields' guard
+    bits the mirror-collapsed minima.  The units share one set of masks,
+    dropped on return; every sequence is still coded and compared with
+    its partners.
     """
-    columns, rn, half = _unit_tables(ell, m, max(cs))
-    # Every partner of a block side in one C call (see _unit_tables).  The
-    # negative-first half comes last: there s[0] < 0, and r[k] is the
-    # reversal of seqs[half + k], so map stops at the end of seqs[half:].
-    partners_of = itemgetter(*rn)
+    steps, end, guards, shift = _packed_tables(ell, m, max(cs))
+    below_rn = guards & ((1 << 2 * shift) - 1)
+    negative_first = below_rn >> shift << shift
     counts = []
     for c in cs:
+        t = (c + ell) // 2
+        base = t * end + guards
         distinct = collapsed = 0
-        for own, mirror in _blocks(c, ell, m, columns):
-            pairs = ((own, own),) if mirror is own else ((own, mirror), (mirror, own))
-            for seqs, partners in pairs:
-                r = partners_of(partners)
-                below_rn = list(map(le, seqs, r))
-                distinct += below_rn.count(True)
-                collapsed += sum(map(and_, below_rn[half:], map(le, seqs[half:], r)))
+        for cuts in combinations(range(1, t), 2 * m - 1):
+            packed = sum(map(mul, cuts, steps), base)
+            distinct += (packed & below_rn).bit_count()
+            collapsed += (packed >> shift & packed & negative_first).bit_count()
         counts.append({Mode.MIRROR_DISTINCT: distinct, Mode.MIRROR_COLLAPSED: collapsed})
     return counts
 

@@ -208,13 +208,33 @@ def stratum_closed_B(k: int, l: int, parity: str) -> int:
     return _exact_div(eight, 8)
 
 
+def _amphichiral_stratum(k: int, l: int, parity: str) -> tuple:
+    """Knot count and genus sum of the amphichiral classes of one sign-change stratum.
+
+    Arguments as for stratum_closed_A.  An amphichiral class is {s, -s}
+    for a palindrome s, so it needs even c and c + 2l divisible by 4.  The
+    unit of genus g then holds C(n, g - 1) C(g - 1, l) of them, half its
+    palindromes, for n = (k + l)/2 - 1.  Summed over g by Vandermonde's
+    identity, the stratum holds C(n, l) 2^(n - l) classes with genus sum
+    C(n, l) (n + l + 2) 2^(n - l - 1).
+    """
+    _check_stratum_args(k, l, parity)
+    if parity == "odd" or (k + l) % 2:
+        return 0, 0
+    n = (k + l) // 2 - 1
+    count = comb(n, l) << (n - l)
+    return count, _exact_div(count * (n + l + 2), 2)
+
+
 def check_tallies(found: dict) -> dict:
     """Compare one ``tallies`` result with the closed forms, exactly.
 
     Returns ``{c: (totals_ok, strata_ok)}``.  ``totals_ok`` holds when the
     knot count and total genus equal the closed forms in both modes;
-    ``strata_ok`` when every mirror-distinct sign-change stratum equals
-    stratum_closed_A and stratum_closed_B.
+    ``strata_ok`` when every sign-change stratum equals them in both
+    modes: mirrors distinct, stratum_closed_A and stratum_closed_B;
+    mirrors collapsed, by Burnside over {1, mirror}, half of those plus
+    the amphichiral classes, the mirror's fixed points.
     """
     verdicts = {}
     for c, by_mode in found.items():
@@ -223,10 +243,13 @@ def check_tallies(found: dict) -> dict:
             tk_closed(c), tg_closed(c), tk_mirror_closed(c), tg_mirror_closed(c)
         )
         k, parity = c // 2, ("even" if c % 2 == 0 else "odd")
-        strata_ok = all(
-            td.by_ell.get(2 * l + c % 2, (0, 0))
-            == (stratum_closed_A(k, l, parity), stratum_closed_B(k, l, parity))
-            for l in range(k)
-        )
+        strata_ok = True
+        for l in range(k):
+            a, b = stratum_closed_A(k, l, parity), stratum_closed_B(k, l, parity)
+            p, g = _amphichiral_stratum(k, l, parity)
+            ell = 2 * l + c % 2
+            distinct_ok = td.by_ell.get(ell, (0, 0)) == (a, b)
+            collapsed_ok = tc.by_ell.get(ell, (0, 0)) == (_exact_div(a + p, 2), _exact_div(b + g, 2))
+            strata_ok = strata_ok and distinct_ok and collapsed_ok
         verdicts[c] = (totals_ok, strata_ok)
     return verdicts

@@ -26,7 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # (name, file, old text, new text, test files that must fail).
 MUTANTS = [
     ("check_tallies skips the last stratum", "src/twobridge/formulas.py",
-     "            for l in range(k)\n", "            for l in range(k - 1)\n",
+     "        for l in range(k):\n", "        for l in range(k - 1):\n",
+     ["tests/test_formulas.py"]),
+    ("check_tallies drops the collapsed strata", "src/twobridge/formulas.py",
+     "strata_ok = strata_ok and distinct_ok and collapsed_ok", "strata_ok = strata_ok and distinct_ok",
      ["tests/test_formulas.py"]),
     ("weighted_sum_check skips the second sum", "src/twobridge/identities.py",
      "            if 27 * second != ", "            if False and 27 * second != ",
@@ -38,8 +41,22 @@ MUTANTS = [
      "a[2][m] = a[2].get(m, 0) + n", "a[2][m] = n",
      ["tests/test_enumeration.py"]),
     ("collapsed count skips the reversal test", "src/twobridge/enumeration.py",
-     "collapsed += sum(map(and_, below_rn[half:], map(le, seqs[half:], r)))",
-     "collapsed += below_rn[half:].count(True)",
+     "collapsed += (packed >> shift & packed & negative_first).bit_count()",
+     "collapsed += (packed & negative_first).bit_count()",
+     ["tests/test_enumeration.py"]),
+    ("partner codes skip the mirrored position", "src/twobridge/enumeration.py",
+     "own, mirrored = 1 << bits * (digits - 1 - j), 1 << bits * j",
+     "own, mirrored = 1 << bits * (digits - 1 - j), 1 << bits * (digits - 1 - j)",
+     ["tests/test_enumeration.py"]),
+    ("fields leave no room for the guard bit", "src/twobridge/enumeration.py",
+     "size = bits * digits // 8 + 1", "size = (bits * digits + 7) // 8",
+     ["tests/test_enumeration.py"]),
+    ("digits one bit too narrow for the largest part", "src/twobridge/enumeration.py",
+     "bits = (2 * ((c + ell) // 2 - digits + 1)).bit_length()",
+     "bits = ((c + ell) // 2 - digits + 1).bit_length()",
+     ["tests/test_enumeration.py"]),
+    ("negative-first fields keep the positive signs", "src/twobridge/enumeration.py",
+     "(sign - (sign << shift))", "(sign + (sign << shift))",
      ["tests/test_enumeration.py"]),
     ("blocks skip palindromes", "src/twobridge/enumeration.py",
      "        if rb < b:\n", "        if rb <= b:\n",

@@ -28,6 +28,7 @@ from twobridge.enumeration import (
     _blocks,
     _class_keys,
     _orbit_minima,
+    _packed_tables,
     _unit_tables,
     compositions,
     sign_patterns,
@@ -366,9 +367,9 @@ class TestTallies:
 
         def counted(ell, m, c):
             built[ell, m] += 1
-            return _unit_tables(ell, m, c)
+            return _packed_tables(ell, m, c)
 
-        monkeypatch.setattr(enumeration, "_unit_tables", counted)
+        monkeypatch.setattr(enumeration, "_packed_tables", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cs = range(3, 17)
         assert pool_sizes(monkeypatch, cs, threads) == ([2] if threads > 1 else [])
@@ -470,6 +471,48 @@ class TestBurnside:
                     by_ell[ell] = (count + n, genus_sum + m * n)
                 assert found[c][mode].by_genus == by_genus, (c, mode)
                 assert found[c][mode].by_ell == by_ell, (c, mode)
+
+
+class TestPackedKernel:
+    def test_guard_bits_are_tuple_comparisons(self):
+        # Sequence by sequence, in sign_patterns order: the guard bit of
+        # each field is a comparison made on tuples, for masks built for
+        # the unit's own crossing number and for a larger one, as when one
+        # set of masks serves every c of an (ell, m) group.
+        for c in range(3, 15):
+            for ell, m in strata(c):
+                t = (c + ell) // 2
+                patterns = list(sign_patterns(2 * m, ell))
+                half = len(patterns) // 2
+                for top in (c, c + 4):
+                    steps, end, guards, shift = _packed_tables(ell, m, top)
+                    width = shift // half
+                    guard = guards & ((1 << width) - 1)
+                    for cuts, b in zip(combinations(range(1, t), 2 * m - 1),
+                                       compositions(t, 2 * m), strict=True):
+                        packed = sum(x * step for x, step in zip(cuts, steps)) + t * end + guards
+                        bits = [bool(packed >> width * i & guard) for i in range(3 * half)]
+                        seqs = [tuple(2 * x * s for x, s in zip(b, p)) for p in patterns]
+                        assert bits[:2 * half] == [s <= tuple(-e for e in reversed(s))
+                                                   for s in seqs], (c, ell, m, b, top)
+                        assert bits[2 * half:] == [s <= s[::-1] for s in seqs[half:]], (c, ell, m, b, top)
+
+    @pytest.mark.parametrize("c", [25, 26])
+    def test_extreme_units_equal_burnside(self, c):
+        # Past the unit check above (c <= 20): the widest digits (m = 1,
+        # every part up to (c + ell)/2 - 1), the most sign patterns (at
+        # c = 26, 38,896 for ell = 10, m = 9), and the m = 1 group read
+        # at every c from one set of masks built for this c.
+        widest = min(strata(c), key=lambda g: g[1])
+        most = max(strata(c), key=lambda g: comb(2 * g[1] - 1, g[0]))
+        assert widest[1] == 1
+        if c == 26:
+            assert most == (10, 9) and 2 * comb(17, 10) == 38_896
+        for ell, m in (widest, most):
+            assert _orbit_minima(ell, m, [c]) == [burnside_unit(c, ell, m)], (ell, m)
+        ell, m = widest
+        cs = [d for d in range(3, c + 1) if (ell, m) in strata(d)]
+        assert _orbit_minima(ell, m, cs) == [burnside_unit(d, ell, m) for d in cs]
 
 
 class Child:

@@ -28,6 +28,7 @@ from twobridge import cli, formulas
 from twobridge.formulas import (
     BranchMismatch,
     InexactDivision,
+    _amphichiral_stratum,
     _exact_div,
 )
 
@@ -278,3 +279,28 @@ class TestCheckTallies:
         verdicts = corrupt(found, 9, Mode.MIRROR_DISTINCT, by_ell=by_ell)
         assert verdicts[9] == (True, False)
         assert all(verdicts[c] == (True, True) for c in verdicts if c != 9)
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["count", "genus_sum"])
+    def test_collapsed_stratum_entry_flagged(self, found, field):
+        # One mirror-collapsed stratum wrong, every total and every
+        # mirror-distinct stratum right: ell = 4 at c = 8 holds the
+        # amphichiral class [2, -2, 2, 2, -2, 2], of genus 3.
+        by_ell = dict(found[8][Mode.MIRROR_COLLAPSED].by_ell)
+        assert _amphichiral_stratum(4, 2, "even") == (1, 3)
+        pair = list(by_ell[4])
+        pair[field] += 1
+        by_ell[4] = tuple(pair)
+        verdicts = corrupt(found, 8, Mode.MIRROR_COLLAPSED, by_ell=by_ell)
+        assert verdicts[8] == (True, False)
+        assert all(verdicts[c] == (True, True) for c in verdicts if c != 8)
+
+
+def test_amphichiral_strata_sum_to_the_mirror_totals():
+    # Burnside over {1, mirror}: the amphichiral classes number
+    # 2 tk_mirror - tk, with genus sum 2 tg_mirror - tg; none at odd c.
+    for c in range(3, 401):
+        k, parity = c // 2, ("even" if c % 2 == 0 else "odd")
+        pairs = [_amphichiral_stratum(k, l, parity) for l in range(k)]
+        assert sum(p for p, _ in pairs) == 2 * tk_mirror_closed(c) - tk_closed(c), c
+        assert sum(g for _, g in pairs) == 2 * tg_mirror_closed(c) - tg_closed(c), c
+        assert c % 2 == 0 or not any(p or g for p, g in pairs), c
