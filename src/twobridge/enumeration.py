@@ -14,9 +14,9 @@ import importlib
 import os
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress, islice
+from itertools import accumulate, combinations, islice
 from math import comb
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 
 from .contfrac import EvenSequence, _require_int
 from .knots import KnotClass, Mode, _require_mode
@@ -84,76 +84,45 @@ def enumerate_sequences(c: int):
                 yield EvenSequence(map(mul, mags, signs))
 
 
-def _unit_tables(ell: int, m: int, c: int):
-    """Tables of the (ell, m) units for crossing numbers up to ``c``: columns and one index map.
-
-    Returns ``(columns, rn, half)``.  ``columns[j][x]`` lists 2x * p[j]
-    over the sign patterns p, for every part x a composition of
-    (c + ell)/2 into 2m parts can have; a smaller crossing number of the
-    same (ell, m) reads a prefix of each column.  With magnitudes b and
-    the i-th pattern p, reverse_negate(b * p) is reversed(b) times the
-    ``rn[i]``-th pattern.  sign_patterns yields the negative-first half
-    last, in the same change order, so negation moves an index by
-    ``half`` (mod ``len(rn)``), and reversal, being reverse-negation
-    after negation, is ``rn[(i + half) % len(rn)]``.  So one gather
-    ``r`` of the ``rn`` indices from the sequences of reversed(b) holds
-    every orbit partner of the sequences ``seqs`` of b: ``r[i]`` is the
-    reverse-negation of ``seqs[i]``, ``r[k]`` the reversal of
-    ``seqs[half + k]`` and ``r[half + k]`` that of ``seqs[k]``.
-    """
-    patterns = list(sign_patterns(2 * m, ell))
-    index = {p: i for i, p in enumerate(patterns)}
-    half = len(patterns) // 2
-    rn = [(index[p[::-1]] + half) % len(patterns) for p in patterns]
-    del index  # freed before the columns are built, which set the peak RSS
-    columns = [[None] + [[2 * x * s for s in signs] for x in range(1, (c + ell) // 2 - 2 * m + 2)]
-               for signs in zip(*patterns)]
-    return columns, rn, half
-
-
-def _blocks(c: int, ell: int, m: int, columns: list):
-    """Yield ``(own, mirror)``, the sequences of b and of reversed(b) by pattern index.
-
-    b runs over the unit's compositions that are not after their reverse;
-    ``mirror is own`` on a palindrome.  Every orbit lies in one pair.
-    A block zips one column per position (see ``_unit_tables``), each
-    sequence one tuple built in C.
-    """
-    for b in compositions((c + ell) // 2, 2 * m):
-        rb = b[::-1]
-        if rb < b:
-            continue
-        own = list(zip(*map(list.__getitem__, columns, b)))
-        yield own, (own if rb == b else list(zip(*map(list.__getitem__, columns, rb))))
-
-
 def _class_keys(c: int, mode: Mode):
     """Yield the canonical key of each knot class with crossing number ``c``, as a tuple.
 
     Order: first encounter in the sequence stream of
     :func:`enumerate_sequences` (ell, genus, composition, sign-pattern
-    index).  An orbit is met first in the earlier of its two composition
-    blocks (see ``_blocks``), at its member of smallest pattern index
-    there; the stream yields exactly at that member, keyed by the orbit
-    minimum.  So it gives the classes a set of seen keys would, in the
-    same order, with no set and no per-sequence canonicalisation.
+    index), with no set and no per-sequence canonicalisation.  Every
+    orbit lies in the sequences of one composition b and its reverse, so
+    the walk zips each b with ``b <= b[::-1]`` into its sequences ``own``
+    and their reversals ``rev``.  sign_patterns yields the negative-first
+    half last, in the same change order, so negation moves a pattern
+    index by ``half`` (mod P), and reverse-negation is the reversal of
+    the negation.  Each key is the least of a sequence and its partners
+    (mode C: of a positive-first one, its negation and their reversals),
+    at the orbit's first member in b's block.  A palindromic block holds
+    whole orbits, and ``dict.fromkeys`` keeps each key where it first
+    occurs, at its member of least index.
     """
     _require_mode(mode)
     distinct = mode is Mode.MIRROR_DISTINCT
     for ell, m in strata(c):
-        columns, rn, half = _unit_tables(ell, m, c)
-        partners_of = itemgetter(*rn)
-        # A palindromic block is one list for both sides: an orbit is met
-        # first at its member of least index there, which in mode C is
-        # positive-first, half before its negation.
-        if distinct:
-            first = [i <= j for i, j in enumerate(rn)]
-        else:
-            first = [i <= rn[i] and i <= rn[i + half] for i in range(half)]
-        for own, mirror in _blocks(c, ell, m, columns):
-            r = partners_of(mirror)
-            keys = map(min, own, r) if distinct else map(min, own, own[half:], r, r[half:])
-            yield from (compress(keys, first) if mirror is own else keys)
+        half = comb(2 * m - 1, ell)
+        # columns[j][x] lists 2x * p[j] over the sign patterns p, for every
+        # part x a composition of (c + ell)/2 into 2m parts can have.  Row 0
+        # is a placeholder: in the largest units every part is 1, so a row
+        # of zeros would double the table.
+        columns = [[None] + [[2 * x * s for s in signs] for x in range(1, (c + ell) // 2 - 2 * m + 2)]
+                   for signs in zip(*sign_patterns(2 * m, ell))]
+        for b in compositions((c + ell) // 2, 2 * m):
+            rb = b[::-1]
+            if rb < b:
+                continue
+            cols = list(map(list.__getitem__, columns, b))
+            own = list(zip(*cols))
+            rev = list(zip(*reversed(cols)))
+            if distinct:
+                keys = map(min, own, rev[half:] + rev[:half])
+            else:
+                keys = map(min, own, own[half:], rev[half:], rev)
+            yield from (dict.fromkeys(keys) if rb == b else keys)
 
 
 def enumerate_classes(c: int, mode: Mode):
@@ -308,7 +277,7 @@ def tallies(cs, threads: int = 1) -> dict:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             children = importlib.import_module("multiprocessing").active_children
             others = set(children())
-            minima = pool.map(_orbit_minima, *tasks, chunksize=max(1, len(groups) // (8 * workers)))
+            minima = pool.map(_orbit_minima, *tasks)
             # Forked workers start on this process's CPU and, in a short run,
             # stay there: once map has started them, move each child the pool
             # added to its own CPU of this process's set.  The caller's stay.

@@ -35,7 +35,10 @@ MUTANTS = [
      "            if 27 * second != ", "            if False and 27 * second != ",
      ["tests/test_identities.py"]),
     ("class stream drops the palindromic filter", "src/twobridge/enumeration.py",
-     "yield from (compress(keys, first) if mirror is own else keys)", "yield from keys",
+     "yield from (dict.fromkeys(keys) if rb == b else keys)", "yield from keys",
+     ["tests/test_enumeration.py"]),
+    ("reverse-negation read without the negation shift", "src/twobridge/enumeration.py",
+     "rev[half:] + rev[:half]", "rev",
      ["tests/test_enumeration.py"]),
     ("by_genus keeps the last unit only", "src/twobridge/enumeration.py",
      "a[2][m] = a[2].get(m, 0) + n", "a[2][m] = n",
@@ -58,7 +61,7 @@ MUTANTS = [
     ("negative-first fields keep the positive signs", "src/twobridge/enumeration.py",
      "(sign - (sign << shift))", "(sign + (sign << shift))",
      ["tests/test_enumeration.py"]),
-    ("blocks skip palindromes", "src/twobridge/enumeration.py",
+    ("class stream skips palindromic compositions", "src/twobridge/enumeration.py",
      "        if rb < b:\n", "        if rb <= b:\n",
      ["tests/test_enumeration.py"]),
     ("_average skips its integer test", "src/twobridge/formulas.py",

@@ -25,11 +25,9 @@ from twobridge import (
 )
 from twobridge import enumeration
 from twobridge.enumeration import (
-    _blocks,
     _class_keys,
     _orbit_minima,
     _packed_tables,
-    _unit_tables,
     compositions,
     sign_patterns,
     strata,
@@ -83,17 +81,14 @@ class TestSignPatterns:
             for ell in range(-1, length + 1):
                 assert list(sign_patterns(length, ell)) == list(loop_sign_patterns(length, ell))
 
-    def test_rn_table_equals_explicit_lookup(self):
-        # Reversal is read from the same map, shifted by the negation offset.
+    def test_negation_shifts_pattern_index_by_half(self):
+        # The class stream and the tally kernel both read negation partners
+        # by this shift: the negative-first half last, in the same order.
         for m in range(1, 8):
             for ell in range(2 * m):
                 patterns = list(sign_patterns(2 * m, ell))
-                n = len(patterns)
-                _, rn, half = _unit_tables(ell, m, 4 * m - ell)
-                index = {p: i for i, p in enumerate(patterns)}
-                assert rn == [index[tuple(-x for x in reversed(p))] for p in patterns]
-                assert 2 * half == n
-                assert [rn[(i + half) % n] for i in range(n)] == [index[p[::-1]] for p in patterns]
+                half = len(patterns) // 2
+                assert [tuple(-x for x in p) for p in patterns] == patterns[half:] + patterns[:half]
 
     def test_one_change(self):
         assert list(sign_patterns(2, 1)) == [(1, -1), (-1, 1)]
@@ -136,27 +131,6 @@ class TestEnumerateSequences:
     def test_rejects_small_c(self):
         with pytest.raises(ValueError):
             list(enumerate_sequences(2))
-
-
-class TestBlocks:
-    def test_equal_per_sequence_reference(self):
-        # Each sequence written out entry by entry, for b and reversed(b),
-        # over the compositions that are not after their reverse, in order.
-        # A column table built for a larger crossing number gives the same
-        # blocks, as when one table serves every c of an (ell, m) group.
-        for c in range(3, 17):
-            for ell, m in strata(c):
-                patterns = list(sign_patterns(2 * m, ell))
-                want = [
-                    [[tuple(2 * x * s for x, s in zip(mags, p)) for p in patterns]
-                     for mags in (b, b[::-1])] + [b == b[::-1]]
-                    for b in compositions((c + ell) // 2, 2 * m)
-                    if b <= b[::-1]
-                ]
-                for top in (c, c + 4):
-                    got = [[own, mirror, mirror is own]
-                           for own, mirror in _blocks(c, ell, m, _unit_tables(ell, m, top)[0])]
-                    assert got == want, (c, top, ell, m)
 
 
 def groups(cs):
@@ -340,9 +314,13 @@ class TestTallies:
         assert after == (["concurrent.futures", "multiprocessing"] if cpus > 1 else [])
 
     def test_pool_takes_groups_largest_first(self, monkeypatch):
-        handed = []
+        started, handed = [], []
 
         class RecordingPool(enumeration.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(kwargs["max_workers"])
+
             def map(self, fn, *iterables, chunksize=1):
                 tasks = list(zip(*iterables))
                 handed.append((tasks, chunksize))
@@ -352,13 +330,15 @@ class TestTallies:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cs = range(3, 19)
         assert tallies(cs, threads=2) == tallies(cs)
+        # One pool of two workers, and one map over every group.
+        assert started == [2]
         [(tasks, chunksize)] = handed
         # One task per (ell, m) group, holding each of its crossing numbers once.
         assert sorted(tasks) == sorted((ell, m, group) for (ell, m), group in groups(cs).items())
         sizes = [sum(len(list(compositions((c + ell) // 2, 2 * m))) for c in group)
                  * len(list(sign_patterns(2 * m, ell))) for ell, m, group in tasks]
         assert sizes == sorted(sizes, reverse=True)
-        assert chunksize == len(tasks) // 16 > 1
+        assert chunksize == 1
 
     @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
     def test_one_table_per_group(self, monkeypatch, threads):
@@ -387,19 +367,6 @@ class TestTallies:
                 for mode in (D, C):
                     assert list(by_mode[mode].by_genus) == sorted(by_mode[mode].by_genus)
                     assert list(by_mode[mode].by_ell) == sorted(by_mode[mode].by_ell)
-
-    def test_one_pool_per_call(self, monkeypatch):
-        started = []
-
-        class CountingPool(enumeration.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(kwargs["max_workers"])
-
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        tallies(range(3, 13), threads=2)
-        assert started == [2]
 
     def test_empty_range_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", None)
