@@ -368,6 +368,19 @@ class TestTallies:
                     assert list(by_mode[mode].by_genus) == sorted(by_mode[mode].by_genus)
                     assert list(by_mode[mode].by_ell) == sorted(by_mode[mode].by_ell)
 
+    def test_one_pool_per_call(self, monkeypatch):
+        started = []
+
+        class CountingPool(enumeration.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(kwargs["max_workers"])
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        tallies(range(3, 13), threads=2)
+        assert started == [2]
+
     def test_empty_range_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", None)
         assert tallies(range(3, 3), threads=2) == {}
