@@ -9,9 +9,10 @@ Usage:
 
 Global flags: ``--format table|csv|json`` and ``--threads T`` (T is a
 sign and ASCII digits, at least 1; ``verify`` prints only ``table``).  A
-command starts at most one process pool, with no more workers than the
-CPUs the process may run on; once the workers start, it moves each to
-its own CPU of them.
+command forks at most one pool of children, with no more than the CPUs
+the process may run on, each given a balanced share of the enumeration
+and pinned to its own CPU; where there is no ``os.fork``, it runs
+serially.
 Rationals print as "p/q" in tables and CSV; JSON carries them as
 {"num": "...", "den": "..."} decimal strings, and unbounded integer
 columns as decimal strings, so consumers never face 64-bit overflow.
@@ -31,8 +32,8 @@ once given an indent.  A table needs every column width before its
 first line, so it computes each row once and spools its cell text to a
 temporary file under TMPDIR (41 MB for ``formulas --max-c 6000``, whose
 table is 87 MB), then pads the lines it reads back; the file is
-unlinked when the table is printed or a row raises.  The process pool
-module loads only when ``--threads`` above 1 starts a pool.
+unlinked when the table is printed or a row raises.  No command loads
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 import csv
@@ -214,7 +215,8 @@ def _parse_threads(value: str) -> int:
     "--threads",
     default="1",
     show_default=True,
-    help="Worker processes for enumeration, at most one per CPU and per (ell, m) group.",
+    help="Forked worker processes for enumeration, each pinned to its own CPU, "
+    "at most one per CPU and per (ell, m) group.",
 )
 @click.pass_context
 def main(ctx, fmt, threads):

@@ -80,15 +80,22 @@ MUTANTS = [
      "    for (ell, m), group in groups.items():\n        for c, counts in zip(group, done[ell, m]):\n",
      "    for ell, m in order:\n        for c, counts in zip(groups[ell, m], done[ell, m]):\n",
      ["tests/test_enumeration.py"]),
-    ("every pool worker takes the first CPU", "src/twobridge/enumeration.py",
-     "os.sched_setaffinity(worker.pid, {cpu})", "os.sched_setaffinity(worker.pid, {cpus[0]})",
+    ("every pool child pins the first CPU", "src/twobridge/enumeration.py",
+     "os.sched_setaffinity(0, {self._cpus[k]})", "os.sched_setaffinity(0, {self._cpus[0]})",
      ["tests/test_enumeration.py"]),
     ("clamp ignores the affinity set", "src/twobridge/enumeration.py",
      "len(cpus) or os.cpu_count() or 1", "os.cpu_count() or 1",
      ["tests/test_enumeration.py"]),
-    ("pins every live child", "src/twobridge/enumeration.py",
-     "set(children()) - others", "set(children())",
+    ("the parent ignores a child's exit status", "src/twobridge/enumeration.py",
+     "            if code:\n", "            if False:\n",
      ["tests/test_enumeration.py"]),
+    ("the deal puts every group in share 0", "src/twobridge/enumeration.py",
+     "k = loads.index(min(loads))", "k = 0",
+     ["tests/test_enumeration.py"]),
+    ("Schubert oracle: collapsed count skips the reversal test", "src/twobridge/enumeration.py",
+     "collapsed += (packed >> shift & packed & negative_first).bit_count()",
+     "collapsed += (packed & negative_first).bit_count()",
+     ["tests/test_schubert.py"]),
     ("tallies counts a repeated crossing number again", "src/twobridge/enumeration.py",
      "cs = list(dict.fromkeys(cs))", "cs = list(cs)",
      ["tests/test_enumeration.py"]),

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -290,55 +292,41 @@ class TestTallies:
         assert once[12][D].knot_count == 341
         assert list(tallies([12, 12, 5], threads).items()) == list(once.items())
 
-    def test_pool_module_loads_only_with_a_pool(self):
-        # In a fresh interpreter: this process may have loaded it already.
+    def test_no_pool_module_loads(self):
+        # In a fresh interpreter: this process may have loaded them already.
         code = (
-            "import json, sys\n"
+            "import json, os, sys\n"
             "import twobridge.cli\n"
             "from twobridge.enumeration import tallies\n"
-            "loaded = lambda: [m for m in ('concurrent.futures', 'multiprocessing')"
-            " if m in sys.modules]\n"
-            "before = loaded()\n"
-            "same = tallies(range(3, 15), threads=2) == tallies(range(3, 15))\n"
-            "print(json.dumps([before, same, loaded()]))\n"
+            + FAKE_TWO_CPUS_AND_COUNT_FORKS +
+            "same = all(tallies(range(3, 15), t) == tallies(range(3, 15)) for t in (1, 2, 4))\n"
+            "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+            "print(json.dumps([loaded, same, len(forks)]))\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(enumeration.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        before, same, after = json.loads(out)
-        assert before == [] and same
-        # A pool starts only with two CPUs to run it.
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        assert after == (["concurrent.futures", "multiprocessing"] if cpus > 1 else [])
+        loaded, same, forks = json.loads(fresh_python(code))
+        # Two children each at 2 and 4 threads, for the two faked CPUs.
+        assert loaded == [] and same and forks == 4
 
-    def test_pool_takes_groups_largest_first(self, monkeypatch):
-        started, handed = [], []
-
-        class RecordingPool(enumeration.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(kwargs["max_workers"])
-
-            def map(self, fn, *iterables, chunksize=1):
-                tasks = list(zip(*iterables))
-                handed.append((tasks, chunksize))
-                return super().map(fn, *zip(*tasks), chunksize=chunksize)
-
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        cs = range(3, 19)
-        assert tallies(cs, threads=2) == tallies(cs)
-        # One pool of two workers, and one map over every group.
-        assert started == [2]
-        [(tasks, chunksize)] = handed
-        # One task per (ell, m) group, holding each of its crossing numbers once.
-        assert sorted(tasks) == sorted((ell, m, group) for (ell, m), group in groups(cs).items())
-        sizes = [sum(len(list(compositions((c + ell) // 2, 2 * m))) for c in group)
-                 * len(list(sign_patterns(2 * m, ell))) for ell, m, group in tasks]
-        assert sizes == sorted(sizes, reverse=True)
-        assert chunksize == 1
+    def test_deal_balances_shares(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for cs, threads in ((range(3, 21), 2), (range(3, 21), 4), ([3, 5], 4)):
+            dealt = []
+            workers = min(threads, len(groups(cs)))
+            assert pool_sizes(monkeypatch, cs, threads, dealt) == [workers]
+            # One pool, one share per worker, every group in exactly one share.
+            assert len(dealt) == workers
+            assert sorted(g for share in dealt for g in share) == sorted(groups(cs))
+            size = {(ell, m): sum(len(list(compositions((c + ell) // 2, 2 * m))) for c in group)
+                    * len(list(sign_patterns(2 * m, ell))) for (ell, m), group in groups(cs).items()}
+            loads = [sum(map(size.__getitem__, share)) for share in dealt]
+            # Each share runs its largest group first, and no two shares'
+            # loads differ by more than the largest group.
+            for share in dealt:
+                assert [size[g] for g in share] == sorted((size[g] for g in share), reverse=True)
+            assert max(loads) - min(loads) <= max(size.values()), (cs, threads, loads)
+            # At c <= 20 the largest share is within 0.1% of the mean.
+            if len(cs) > 2:
+                assert max(loads) * workers <= 1.001 * sum(loads), (cs, threads, loads)
 
     @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
     def test_one_table_per_group(self, monkeypatch, threads):
@@ -403,6 +391,7 @@ class TestTallies:
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(enumeration, "_orbit_minima", refuse)
+        monkeypatch.setattr(os, "fork", refuse, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         with pytest.raises(error, match=named):
             tallies([9], threads=threads)
@@ -495,46 +484,79 @@ class TestPackedKernel:
         assert _orbit_minima(ell, m, cs) == [burnside_unit(d, ell, m) for d in cs]
 
 
-class Child:
-    """A stand-in for a live multiprocessing child: a pid, hashed by identity."""
-
-    def __init__(self, pid):
-        self.pid = pid
-
-
-def pool_sizes(monkeypatch, cs, threads, live=None):
+def pool_sizes(monkeypatch, cs, threads, dealt=None):
     """max_workers of each pool that tallies(cs, threads) starts.
 
-    The pool is a recording fake that maps serially and starts no
-    process; the counts must equal the serial run's.  Given ``live``, a
-    list standing for this process's live children, each pool adds one
-    fake worker per max_workers to it when it maps, as a real pool's
-    workers appear once map starts them, and takes them out on exit.
+    The pool is a recording fake that runs each task in this process and
+    forks nothing; the counts must equal the serial run's.  Given
+    ``dealt``, a list, each pool appends the tasks (shares) it maps.
     """
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, cpus):
             started.append(max_workers)
-            self.workers = [Child(10_000 + 100 * len(started) + k) for k in range(max_workers)]
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
-            if live is not None:
-                for worker in self.workers:
-                    live.remove(worker)
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            if live is not None:
-                live.extend(self.workers)
-            return map(fn, *iterables)
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            if dealt is not None:
+                dealt.extend(tasks)
+            return [list(fn(task)) for task in tasks]
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
     assert tallies(cs, threads) == tallies(cs)
     return started
+
+
+def pins(monkeypatch, tmp_path, cs, threads, refuse=False):
+    """[caller pid, pid, cpus] of each affinity call tallies(cs, threads) makes, through real forks.
+
+    The recording affinity call is carried into every forked child and
+    appends to a file, so calls made in the children and in this process
+    are both seen; with ``refuse`` each call then fails.  The counts must
+    equal the serial run's, which makes no pool.
+    """
+    log = tmp_path / "pins"
+    log.write_text("")
+
+    def record(pid, cpus):
+        with open(log, "a") as f:
+            f.write(json.dumps([os.getpid(), pid, sorted(cpus)]) + "\n")
+        if refuse:
+            raise OSError("not permitted")
+
+    monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
+    assert tallies(cs, threads) == tallies(cs)
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
+# For fresh_python: two CPUs faked, so that a pool starts on any host (a
+# refused pin costs the children nothing), and the list ``forks`` of the
+# children this process forks.
+FAKE_TWO_CPUS_AND_COUNT_FORKS = (
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "forks, fork = [], os.fork\n"
+    "def counted():\n"
+    "    pid = fork()\n"
+    "    if pid:\n"
+    "        forks.append(pid)\n"
+    "    return pid\n"
+    "os.fork = counted\n"
+)
+
+
+def fresh_python(code):
+    """Stdout of ``code`` run, warnings as errors, in a fresh interpreter with this tree's twobridge."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(enumeration.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
 
 
 class TestWorkerCount:
@@ -553,107 +575,69 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert pool_sizes(monkeypatch, range(3, 13), 10**6) == []
 
-    def test_cpu_count_without_affinity_call(self, monkeypatch):
+    def test_no_fork_means_one(self, monkeypatch):
+        # Where os.fork is missing (Windows) the groups run in this process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert pool_sizes(monkeypatch, range(3, 13), 10**6) == []
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch, tmp_path):
         # The pool still starts, with no placement to make.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        moved = []
-        monkeypatch.setattr(os, "sched_setaffinity", lambda *call: moved.append(call),
-                            raising=False)
-        live = []
-        monkeypatch.setattr("multiprocessing.active_children", lambda: list(live))
-        assert pool_sizes(monkeypatch, range(3, 13), 10**6, live) == [6]
-        assert moved == []
+        assert pins(monkeypatch, tmp_path, range(3, 13), 10**6) == []
+        assert pool_sizes(monkeypatch, range(3, 13), 10**6) == [6]
 
-    def test_one_cpu_per_worker_in_affinity_order(self, monkeypatch):
-        # The recording pool's fake workers join the live children once it
-        # maps, beside one child of the caller's own, which must stay put.
+    def test_one_cpu_per_worker_in_affinity_order(self, monkeypatch, tmp_path):
+        # Through real forks: each child pins itself, and this process, with
+        # its own affinity and its other children, is never placed.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 3}, raising=False)
-        moved = []
-        monkeypatch.setattr(os, "sched_setaffinity", lambda *call: moved.append(call),
-                            raising=False)
-        own = Child(7)
-        live = [own]
-        monkeypatch.setattr("multiprocessing.active_children", lambda: list(live))
-        for threads, cpus in ((8, {0, 3, 5}), (2, {0, 3})):
-            moved.clear()
-            assert pool_sizes(monkeypatch, range(3, 13), threads, live) == [len(cpus)]
-            assert live == [own]
-            # One call per worker, each to one CPU, no two alike.
-            assert own.pid not in {pid for pid, _ in moved}
-            assert len({pid for pid, _ in moved}) == len(moved) == len(cpus)
-            assert all(len(cpu) == 1 for _, cpu in moved)
-            assert set().union(*(cpu for _, cpu in moved)) == cpus
+        for threads, cpus in ((8, [0, 3, 5]), (2, [0, 3])):
+            calls = pins(monkeypatch, tmp_path, range(3, 13), threads)
+            # One call per child, each on itself, to one CPU, no two alike.
+            assert len({caller for caller, _, _ in calls}) == len(calls) == len(cpus)
+            assert os.getpid() not in {caller for caller, _, _ in calls}
+            assert all(pid == 0 for _, pid, _ in calls)
+            assert sorted(cpu for _, _, [cpu] in calls) == cpus
 
-    def test_refused_placement_fails_no_count(self, monkeypatch):
-        refused = []
-
-        def refuse(pid, cpus):
-            refused.append(pid)
-            raise OSError("not permitted")
-
+    def test_refused_placement_fails_no_count(self, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-        live = []
-        monkeypatch.setattr("multiprocessing.active_children", lambda: list(live))
-        # pool_sizes requires the counts to equal the serial run's.
-        assert pool_sizes(monkeypatch, range(3, 13), 2, live) == [2]
-        assert len(refused) == 2
+        # pins requires the counts to equal the serial run's.
+        assert len(pins(monkeypatch, tmp_path, range(3, 13), 2, refuse=True)) == 2
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="needs an affinity call and two CPUs")
-    def test_workers_pinned_to_distinct_cpus(self, tmp_path):
-        # In a fresh interpreter, through the real pool: the probe reads each
-        # worker's affinity from outside before the pool shuts down, and the
-        # affinity of a child the probe started itself, which tallies must not
-        # move.  A script file, so a start method that re-imports the main
-        # module can find the child's target.
-        script = tmp_path / "probe.py"
-        script.write_text(
-            "import json, multiprocessing, os\n"
+    def test_workers_pinned_to_distinct_cpus(self):
+        # In a fresh interpreter, through the real pool and the real affinity
+        # calls: each child reports its own affinity as it runs its share.
+        code = (
+            "import json, os, sys\n"
             "from twobridge import enumeration\n"
-            "from twobridge.enumeration import tallies\n"
-            "\n"
-            "def wait(stop):\n"
-            "    stop.wait(60)\n"
-            "\n"
-            "if __name__ == '__main__':\n"
-            "    reports = []\n"
-            "\n"
-            "    class Probe(enumeration.ProcessPoolExecutor):\n"
-            "        def __exit__(self, *exc):\n"
-            "            reports.extend((pid, sorted(os.sched_getaffinity(pid)))\n"
-            "                           for pid in self._processes)\n"
-            "            return super().__exit__(*exc)\n"
-            "\n"
-            "    enumeration.ProcessPoolExecutor = Probe\n"
-            "    stop = multiprocessing.Event()\n"
-            "    own = multiprocessing.Process(target=wait, args=(stop,))\n"
-            "    own.start()\n"
-            "    before = sorted(os.sched_getaffinity(0))\n"
-            "    same = tallies(range(3, 15), threads=2) == tallies(range(3, 15))\n"
-            "    kept = sorted(os.sched_getaffinity(own.pid))\n"
-            "    stop.set()\n"
-            "    own.join()\n"
-            "    print(json.dumps([before, sorted(os.sched_getaffinity(0)), kept, same, reports]))\n"
+            "minima = enumeration._orbit_minima\n"
+            "def probe(*args):\n"
+            "    os.write(sys.stdout.fileno(), (json.dumps([os.getpid(), sorted(os.sched_getaffinity(0))])\n"
+            "                                   + '\\n').encode())\n"
+            "    return minima(*args)\n"
+            "enumeration._orbit_minima = probe\n"
+            "before = sorted(os.sched_getaffinity(0))\n"
+            "same = enumeration.tallies(range(3, 15), threads=2) == enumeration.tallies(range(3, 15))\n"
+            "print(json.dumps([os.getpid(), before, sorted(os.sched_getaffinity(0)), same]))\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(enumeration.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-W", "error", str(script)], env=env, check=True,
-                             capture_output=True, text=True, timeout=120).stdout
-        before, after, kept, same, reports = json.loads(out)
-        assert after == before == kept and same
-        assert len({pid for pid, _ in reports}) == len(reports) == 2
-        assert all(len(cpus) == 1 for _, cpus in reports)
-        assert sorted(cpu for _, [cpu] in reports) == before[:2]
+        *lines, last = fresh_python(code).splitlines()
+        parent, before, after, same = json.loads(last)
+        assert after == before and same
+        children = {pid: cpus for pid, cpus in map(json.loads, lines) if pid != parent}
+        assert len(children) == 2
+        assert all(len(cpus) == 1 for cpus in children.values())
+        assert sorted(cpu for [cpu] in children.values()) == before[:2]
 
     def test_affinity_counts_not_the_machine(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert pool_sizes(monkeypatch, range(3, 13), 8) == [3]
 
-    def test_affinity_read_once_per_call(self, monkeypatch):
+    def test_affinity_read_once_per_call(self, monkeypatch, tmp_path):
         # A set that changes after its first read: the clamp and the
         # placement must both follow that one read.
         reads = []
@@ -663,18 +647,67 @@ class TestWorkerCount:
             return {0, 1, 2} if len(reads) == 1 else {7}
 
         monkeypatch.setattr(os, "sched_getaffinity", affinity, raising=False)
-        moved = []
-        monkeypatch.setattr(os, "sched_setaffinity", lambda *call: moved.append(call),
-                            raising=False)
-        live = []
-        monkeypatch.setattr("multiprocessing.active_children", lambda: list(live))
-        assert pool_sizes(monkeypatch, range(3, 13), 8, live) == [3]
-        assert len({pid for pid, _ in moved}) == len(moved) == 3
-        assert set().union(*(cpu for _, cpu in moved)) == {0, 1, 2}
-        # pool_sizes tallies twice: at 8 threads and serially.
-        assert len(reads) <= 2
+        calls = pins(monkeypatch, tmp_path, range(3, 13), 8)
+        # Three children, one per CPU of the first read.
+        assert len({caller for caller, _, _ in calls}) == len(calls) == 3
+        assert sorted(cpu for _, _, [cpu] in calls) == [0, 1, 2]
+        # pins tallies twice: at 8 threads and serially.
+        assert len(reads) == 2
 
     def test_affinity_of_one_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert pool_sizes(monkeypatch, range(3, 13), 8) == []
+
+
+class TestForkPool:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+        # No child of this process is left running or unreaped.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fault,status", [
+        (lambda: 1 // 0, "1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9"),
+    ], ids=["raises", "killed"])
+    def test_failing_child_named_by_exit_status(self, monkeypatch, fault, status):
+        # The fork carries the patch into the children; this process runs no share.
+        monkeypatch.setattr(enumeration, "_orbit_minima", lambda *args: fault())
+        with pytest.raises(ChildProcessError, match=rf"exit status {status}$"):
+            tallies(range(3, 13), threads=2)
+
+    def test_interrupt_while_children_run_propagates(self, monkeypatch):
+        # The children sleep; a timer in this process interrupts its wait,
+        # and the pool kills and reaps them rather than waiting them out.
+        monkeypatch.setattr(enumeration, "_orbit_minima", lambda *args: time.sleep(60))
+
+        def interrupt(*_):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                tallies(range(3, 13), threads=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+
+    def test_children_leave_stdout_and_exit_handlers_alone(self):
+        # A buffered write and an exit handler in a fresh interpreter: a
+        # child that flushed or ran them would print them again.
+        code = (
+            "import atexit, os, sys\n"
+            "from twobridge.enumeration import tallies\n"
+            + FAKE_TWO_CPUS_AND_COUNT_FORKS +
+            "atexit.register(lambda: sys.stdout.write('exit handler\\n'))\n"
+            "sys.stdout.write('pending ')\n"
+            "same = tallies(range(3, 15), threads=2) == tallies(range(3, 15))\n"
+            "sys.stdout.write(f'{len(forks)} {same}\\n')\n"
+        )
+        assert fresh_python(code) == "pending 2 True\nexit handler\n"
