@@ -24,21 +24,21 @@ from .knots import KnotClass, Mode, _require_mode
 class ProcessPoolExecutor:
     """This module's own fork pool, not ``concurrent.futures``': one child per task.
 
-    ``map(fn, tasks)`` forks one child for each of at most ``max_workers``
-    tasks.  Child k pins itself to ``cpus[k]`` when ``cpus`` is given (a
-    refused pin is ignored), writes the ints of ``fn(task)`` as text down
-    its own pipe and leaves by ``os._exit``, so it never flushes this
-    process's buffers or runs its exit handlers.  The parent only waits:
-    it reads each pipe and reaps each child in task order, and raises
-    ``ChildProcessError`` naming the exit status of the first child that
-    failed.  ``shutdown``, which ``__exit__`` calls, kills and reaps every
-    child that ``map`` left behind, so none outlives the pool.  Needs
-    ``os.fork``; ``tallies`` reads the class from this module at each
-    call, so a caller may replace it.
+    The pool is as wide as the list it maps: ``map(fn, tasks)`` forks one
+    child for each task.  Child k pins itself to ``cpus[k]`` when ``cpus``
+    is given, one CPU per task (a refused pin is ignored), writes the ints
+    of ``fn(task)`` as text down its own pipe and leaves by ``os._exit``,
+    so it never flushes this process's buffers or runs its exit handlers.
+    The parent only waits: it reads each pipe and reaps each child in task
+    order, and raises ``ChildProcessError`` naming the exit status of the
+    first child that failed.  A fork that fails closes its pipe before the
+    error propagates.  ``shutdown``, which ``__exit__`` calls, kills and
+    reaps every child that ``map`` left behind, so none outlives the pool.
+    Needs ``os.fork``; ``tallies`` reads the class from this module at
+    each call, so a caller may replace it.
     """
 
-    def __init__(self, max_workers: int, cpus=()):
-        self._max_workers = max_workers
+    def __init__(self, cpus=()):
         self._cpus = cpus
         self._children = []  # (pid, read end of its pipe), not yet reaped
 
@@ -51,12 +51,14 @@ class ProcessPoolExecutor:
 
     def map(self, fn, tasks) -> list:
         """A list of ``list(fn(task))`` for each task, each run in its own child."""
-        tasks = list(tasks)
-        if len(tasks) > self._max_workers:
-            raise ValueError(f"{len(tasks)} tasks for {self._max_workers} workers")
         for k, task in enumerate(tasks):
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
             if pid == 0:
                 code = 1
                 try:
@@ -317,12 +319,12 @@ def tallies(cs, threads: int = 1) -> dict:
     ``threads`` workers, one per group and per CPU of this process's
     affinity set (read once per call, for both the count and the
     placement), and one where the platform has no ``os.fork``.  One share
-    runs here; more run in forked children of this module's
-    ``ProcessPoolExecutor``, each pinned to its own CPU of the set, while
-    this process only waits.  Results fold in order of first appearance
-    (c, then ell, then m), so keys ascend and the outcome is the serial
-    run's.  A ``threads`` that is not a positive ``int`` is refused before
-    any unit runs.
+    runs here; two or more are mapped by this module's
+    ``ProcessPoolExecutor``, one forked child per share, each pinned to its
+    own CPU of the set, while this process only waits.  Results fold in
+    order of first appearance (c, then ell, then m), so keys ascend and
+    the outcome is the serial run's.  A ``threads`` that is not a positive
+    ``int`` is refused before any unit runs.
     """
     _require_int("threads", threads, 1)
     cs = list(dict.fromkeys(cs))
@@ -351,7 +353,7 @@ def tallies(cs, threads: int = 1) -> dict:
         return [counts[mode] for g in share for counts in _orbit_minima(*g, groups[g]) for mode in Mode]
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, cpus=cpus) as pool:
+        with ProcessPoolExecutor(cpus) as pool:
             results = pool.map(run, shares)
     else:
         results = map(run, shares)

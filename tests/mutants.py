@@ -89,6 +89,10 @@ MUTANTS = [
     ("the parent ignores a child's exit status", "src/twobridge/enumeration.py",
      "            if code:\n", "            if False:\n",
      ["tests/test_enumeration.py"]),
+    ("a failed fork leaves its pipe open", "src/twobridge/enumeration.py",
+     "                os.close(r)\n                os.close(w)\n                raise\n",
+     "                raise\n",
+     ["tests/test_enumeration.py"]),
     ("the deal puts every group in share 0", "src/twobridge/enumeration.py",
      "k = loads.index(min(loads))", "k = 0",
      ["tests/test_enumeration.py"]),

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -360,14 +361,20 @@ class TestTallies:
         started = []
 
         class CountingPool(enumeration.ProcessPoolExecutor):
+            # One list per pool, of the number of shares each map call maps.
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                started.append(kwargs["max_workers"])
+                started.append([])
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                started[-1].append(len(tasks))
+                return super().map(fn, tasks)
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         tallies(range(3, 13), threads=2)
-        assert started == [2]
+        assert started == [[2]]
 
     def test_empty_range_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", None)
@@ -485,7 +492,7 @@ class TestPackedKernel:
 
 
 def pool_sizes(monkeypatch, cs, threads, dealt=None):
-    """max_workers of each pool that tallies(cs, threads) starts.
+    """The width of each pool that tallies(cs, threads) starts: the number of shares it maps.
 
     The pool is a recording fake that runs each task in this process and
     forks nothing; the counts must equal the serial run's.  Given
@@ -494,8 +501,8 @@ def pool_sizes(monkeypatch, cs, threads, dealt=None):
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers, cpus):
-            started.append(max_workers)
+        def __init__(self, cpus):
+            pass
 
         def __enter__(self):
             return self
@@ -505,6 +512,7 @@ def pool_sizes(monkeypatch, cs, threads, dealt=None):
 
         def map(self, fn, tasks):
             tasks = list(tasks)
+            started.append(len(tasks))
             if dealt is not None:
                 dealt.extend(tasks)
             return [list(fn(task)) for task in tasks]
@@ -678,6 +686,52 @@ class TestForkPool:
         monkeypatch.setattr(enumeration, "_orbit_minima", lambda *args: fault())
         with pytest.raises(ChildProcessError, match=rf"exit status {status}$"):
             tallies(range(3, 13), threads=2)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        # The second fork fails: the error propagates, the first child is
+        # killed and reaped, and no pipe end is left open.
+        fork, calls = os.fork, []
+
+        def fork_once():
+            calls.append(None)
+            if len(calls) > 1:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as raised:
+            tallies(range(3, 13), threads=2)
+        assert raised.value.errno == errno.EAGAIN and len(calls) == 2
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_subclass_opened_and_shut_once_per_call(self, monkeypatch):
+        # A subclass that opens something in __init__ and closes it in
+        # shutdown, as a tracing one may: one of each per pooled call,
+        # whether the children succeed or fail, and none for a serial call.
+        events = []
+
+        class SpannedPool(enumeration.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                events.append("init")
+
+            def shutdown(self, *args, **kwargs):
+                try:
+                    super().shutdown(*args, **kwargs)
+                finally:
+                    events.append("shutdown")
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SpannedPool)
+        serial = tallies(range(3, 13))
+        assert events == []
+        assert tallies(range(3, 13), threads=2) == serial
+        assert events == ["init", "shutdown"]
+        monkeypatch.setattr(enumeration, "_orbit_minima", lambda *args: 1 // 0)
+        with pytest.raises(ChildProcessError):
+            tallies(range(3, 13), threads=2)
+        assert events == ["init", "shutdown"] * 2
 
     def test_interrupt_while_children_run_propagates(self, monkeypatch):
         # The children sleep; a timer in this process interrupts its wait,
