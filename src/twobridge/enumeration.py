@@ -25,8 +25,8 @@ class ProcessPoolExecutor:
     """This module's own fork pool, not ``concurrent.futures``': one child per task.
 
     The pool is as wide as the list it maps: ``map(fn, tasks)`` forks one
-    child for each task.  Child k pins itself to ``cpus[k]`` when ``cpus``
-    is given, one CPU per task (a refused pin is ignored), writes the ints
+    child for each task.  Child k pins itself to ``cpus[k]`` unless ``cpus``
+    is empty, one CPU per task (a refused pin is ignored), writes the ints
     of ``fn(task)`` as text down its own pipe and leaves by ``os._exit``,
     so it never flushes this process's buffers or runs its exit handlers.
     The parent only waits: it reads each pipe and reaps each child in task
@@ -38,7 +38,7 @@ class ProcessPoolExecutor:
     each call, so a caller may replace it.
     """
 
-    def __init__(self, cpus=()):
+    def __init__(self, cpus):
         self._cpus = cpus
         self._children = []  # (pid, read end of its pipe), not yet reaped
 

@@ -67,6 +67,12 @@ MUTANTS = [
     ("_average skips its integer test", "src/twobridge/formulas.py",
      "    if tg * 12 * q != ", "    if False and tg * 12 * q != ",
      ["tests/test_formulas.py"]),
+    ("_average returns tk/tg", "src/twobridge/formulas.py",
+     "    return Fraction(tg, tk)", "    return Fraction(tk, tg)",
+     ["tests/test_acceptance.py", "tests/test_formulas.py"]),
+    ("tk_mirror_closed's c = 3 (mod 4) branch is off by one", "src/twobridge/formulas.py",
+     "(1 << ((c - 3) // 2)) + 1, 3)", "(1 << ((c - 3) // 2)) + 4, 3)",
+     ["tests/test_acceptance.py", "tests/test_formulas.py"]),
     ("table1 always exits 0", "src/twobridge/cli.py",
      "    if not all(totals_ok.values()):\n", "    if False:\n",
      ["tests/test_cli.py"]),

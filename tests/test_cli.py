@@ -569,10 +569,6 @@ class TestTable1:
         match = {r["c"]: r["match"] for r in parse_csv(result.output)}
         assert match == {"3": "ok", "4": "ok", "5": "MISMATCH", "6": "ok", "7": "ok"}
 
-    def test_bad_threads_value(self, runner):
-        result = runner.invoke(main, ["--threads", "zero", "table1", "--max-c", "4"])
-        assert result.exit_code != 0
-
     def test_threads_env_var_ignored(self, runner, monkeypatch):
         # --threads is the one source of the worker count.
         asked = []
@@ -605,8 +601,8 @@ class TestThreadsText:
 
     @pytest.mark.parametrize(
         "value",
-        ["1_0", "\u0662", "x" * 5000, "auto"],
-        ids=["underscore-flag", "arabic_indic_two-flag", "5000x-flag", "auto-flag"],
+        ["1_0", "\u0662", "x" * 5000, "auto", "zero"],
+        ids=["underscore-flag", "arabic_indic_two-flag", "5000x-flag", "auto-flag", "zero-flag"],
     )
     def test_bad_token_refused_briefly(self, runner, value):
         # int() alone would take "1_0" as 10 and the Arabic-Indic digit as 2.

@@ -254,20 +254,6 @@ class TestEvenExpansion:
             for s in enumerate_sequences(c):
                 assert tuple(even_expansion(cf_value(s))) == tuple(s)
 
-    def test_random_fraction_round_trip(self):
-        rng = random.Random(7)
-        count = 0
-        while count < 500:
-            den = rng.randrange(3, 2_000, 2)
-            num = rng.randrange(2, den, 2)
-            if Fraction(num, den).denominator % 2 == 0:
-                continue
-            x = Fraction(num, den) * rng.choice((1, -1))
-            if x.numerator % 2:
-                continue
-            assert cf_value(even_expansion(x)) == x
-            count += 1
-
     @given(admissible_fractions())
     def test_fraction_round_trip_property(self, x):
         # Values near 1/(e +- 1) expand into about as many entries as their

@@ -89,22 +89,6 @@ def tg_mirror_double_sum(c):
 
 
 class TestKnotCounts:
-    @pytest.mark.parametrize("c,expected", [(7, 14), (13, 704), (4, 1)])
-    def test_tk(self, c, expected):
-        assert tk_closed(c) == expected
-
-    @pytest.mark.parametrize("c,expected", [(8, 44), (15, 10646), (3, 2)])
-    def test_tg(self, c, expected):
-        assert tg_closed(c) == expected
-
-    @pytest.mark.parametrize("c,expected", [(12, 176), (5, 2), (6, 3)])
-    def test_tk_mirror(self, c, expected):
-        assert tk_mirror_closed(c) == expected
-
-    @pytest.mark.parametrize("c,expected", [(14, 2485), (11, 259), (4, 1)])
-    def test_tg_mirror(self, c, expected):
-        assert tg_mirror_closed(c) == expected
-
     @pytest.mark.parametrize("fn", CLOSED_FORMS_OF_C, ids=lambda fn: fn.__name__)
     def test_rejects_small_c(self, fn):
         # Non-int c: tests/test_public_api.py, test_non_int_refused_by_name.
@@ -115,37 +99,11 @@ class TestKnotCounts:
 class TestAverages:
     @pytest.mark.parametrize(
         "c,expected",
-        [(6, Fraction(8, 5)), (9, Fraction(19, 8)), (13, Fraction(107, 32))],
-    )
-    def test_avg_genus(self, c, expected):
-        assert avg_genus(c) == expected
-
-    @pytest.mark.parametrize(
-        "c,expected",
-        [
-            (8, Fraction(25, 12)),
-            (14, Fraction(355, 99)),
-            (15, Fraction(5323, 1387)),
-        ],
-    )
-    def test_avg_genus_mirror(self, c, expected):
-        assert avg_genus_mirror(c) == expected
-
-    @pytest.mark.parametrize(
-        "c,expected",
         [(6, Fraction(1, 60)), (5, Fraction(1, 6)), (7, Fraction(1, 42))],
     )
     def test_residual(self, c, expected):
         assert residual(c) == expected
         assert correction(c) == expected
-
-    def test_consistency_triangle(self):
-        for c in range(3, 10_001):
-            assert avg_genus(c) * tk_closed(c) == tg_closed(c)
-
-    def test_averages_agree_at_odd_c(self):
-        for c in range(3, 2001, 2):
-            assert avg_genus_mirror(c) == avg_genus(c)
 
 
 class TestStratumClosedForms:
@@ -200,10 +158,6 @@ class TestMirrorGenusByStrata:
     def test_matches_closed_form(self):
         for c in range(4, 201, 2):
             assert tg_mirror_double_sum(c) == tg_mirror_closed(c)
-
-    def test_matches_enumeration(self):
-        for c in range(4, 15, 2):
-            assert tg_mirror_double_sum(c) == tally(c, Mode.MIRROR_COLLAPSED).total_genus
 
 
 class TestSentinels:

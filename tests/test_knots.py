@@ -217,10 +217,6 @@ class TestModeRelations:
                 amph = is_amphichiral(members[0].canonical)
                 assert (len(members) == 1) == amph
 
-    def test_odd_crossings_double(self):
-        for c in (3, 5, 7, 9, 11):
-            assert tally(c, D).knot_count == 2 * tally(c, C).knot_count
-
     def test_fraction_separates_classes(self):
         # Consistency audit: distinct classes with a common denominator p
         # are never related by q1 == q2 or q1 q2 == 1 mod p, while the
