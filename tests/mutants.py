@@ -112,6 +112,12 @@ MUTANTS = [
     ("x2_specialization_check skips beta", "src/twobridge/identities.py",
      "            if beta_sum(n, 2) != ", "            if False and beta_sum(n, 2) != ",
      ["tests/test_identities.py"]),
+    ("wellknown_check skips the row sums", "src/twobridge/identities.py",
+     "            if sum(row) != 2**n:\n", "            if False:\n",
+     ["tests/test_identities.py"]),
+    ("even_expansion records each quotient negated", "src/twobridge/contfrac.py",
+     "        entries.append(e)\n", "        entries.append(-e)\n",
+     ["tests/test_acceptance.py", "tests/test_contfrac.py"]),
 ]
 
 # (name, file, old text, new text, why no test can kill it).

@@ -11,7 +11,6 @@ from twobridge import (
     Mode,
     avg_genus,
     avg_genus_mirror,
-    canonicalize,
     cf_value,
     check_tallies,
     correction,
@@ -147,6 +146,6 @@ def test_criterion_7_round_trip():
     for c in range(3, 15):
         for s in enumerate_sequences(c):
             e = even_expansion(cf_value(s))
-            if canonicalize(e, D) != canonicalize(s, D):
+            if e != s:
                 failures.append((tuple(s), tuple(e)))
-    report("criterion 7: expansion round trip stays in the same class for c <= 14", failures)
+    report("criterion 7: expansion round trip returns each sequence itself for c <= 14", failures)

@@ -18,7 +18,6 @@ from twobridge import (
     stratum_closed_A,
     stratum_closed_B,
     tallies,
-    tally,
     tg_closed,
     tg_mirror_closed,
     tk_closed,
@@ -31,6 +30,9 @@ from twobridge.formulas import (
     _amphichiral_stratum,
     _exact_div,
 )
+from twobridge.enumeration import strata
+
+from test_enumeration import burnside_unit
 
 CLOSED_FORMS_OF_C = (
     tk_closed, tg_closed, tk_mirror_closed, tg_mirror_closed,
@@ -70,24 +72,6 @@ def stratum_sum_B(k, l, parity):
     return total
 
 
-def tg_mirror_double_sum(c):
-    """Mirror-collapsed total genus for even c by direct double summation.
-
-    Half a genus per mirror-distinct class over all strata, plus half a
-    genus per class fixed by mirroring (symmetric sign assignments over
-    symmetric magnitude vectors).
-    """
-    k = c // 2
-    total = Fraction(0)
-    for l in range(k):
-        for m in range(l + 1, (k + l) // 2 + 1):
-            total += Fraction(m, 2) * comb(k + l - 1, 2 * m - 1) * comb(2 * m - 1, 2 * l)
-            if (l + k) % 2 == 0:
-                total += Fraction(m, 2) * comb((k + l - 2) // 2, m - 1) * comb(m - 1, l)
-    assert total.denominator == 1, f"c={c}: total genus {total} is not an integer"
-    return total.numerator
-
-
 class TestKnotCounts:
     @pytest.mark.parametrize("fn", CLOSED_FORMS_OF_C, ids=lambda fn: fn.__name__)
     def test_rejects_small_c(self, fn):
@@ -96,26 +80,7 @@ class TestKnotCounts:
             fn(2)
 
 
-class TestAverages:
-    @pytest.mark.parametrize(
-        "c,expected",
-        [(6, Fraction(1, 60)), (5, Fraction(1, 6)), (7, Fraction(1, 42))],
-    )
-    def test_residual(self, c, expected):
-        assert residual(c) == expected
-        assert correction(c) == expected
-
-
 class TestStratumClosedForms:
-    def test_examples(self):
-        assert stratum_closed_A(3, 0, "even") == 2
-        assert stratum_closed_A(2, 1, "even") == 0
-        # At three crossings the single stratum holds the chiral pair of
-        # trefoils: two mirror-distinct classes of genus one each.
-        assert stratum_closed_A(1, 0, "odd") == 2
-        assert stratum_closed_B(1, 0, "odd") == 2
-        assert tally(3, Mode.MIRROR_DISTINCT).by_ell[1] == (2, 2)
-
     def test_against_direct_sums(self):
         for c in range(3, 122):  # k = c // 2 up to 60 at both parities
             k, parity = c // 2, ("even" if c % 2 == 0 else "odd")
@@ -157,7 +122,8 @@ class TestStratumClosedForms:
 class TestMirrorGenusByStrata:
     def test_matches_closed_form(self):
         for c in range(4, 201, 2):
-            assert tg_mirror_double_sum(c) == tg_mirror_closed(c)
+            total = sum(m * burnside_unit(c, ell, m)[Mode.MIRROR_COLLAPSED] for ell, m in strata(c))
+            assert total == tg_mirror_closed(c), c
 
 
 class TestSentinels:

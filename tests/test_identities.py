@@ -65,14 +65,6 @@ def test_recurrence_counterexample_in_lowest_terms(monkeypatch, wrong, x, text):
     assert alpha_recurrence_check(12, x).counterexample == text
 
 
-def test_specialization_at_two():
-    report = x2_specialization_check(64)
-    assert report.passed, report
-    for n in range(65):
-        assert alpha_sum(n, 2) == Fraction(4**n - 1, 3)
-        assert beta_sum(n, 2) == Fraction(2 * 4**n + 1, 3)
-
-
 def test_specialization_reads_beta(monkeypatch):
     # beta_sum wrong at n = 7 only, where alpha_sum is right.
     real = identities.beta_sum
@@ -86,6 +78,13 @@ def test_weighted_sums_read_the_second_sum(monkeypatch):
     monkeypatch.setattr(identities, "comb", lambda n, k: comb(n, k) + (n == k))
     report = weighted_sum_check(8)
     assert report.counterexample == "second, n=1"
+
+
+def test_wellknown_reads_the_row_sums(monkeypatch):
+    # Doubled, every binomial scales both sides of the product identity by
+    # 4; only the row sums see it, first at n = 1.
+    monkeypatch.setattr(identities, "comb", lambda n, k: 2 * comb(n, k))
+    assert wellknown_check(4).counterexample == "row sum, n=1"
 
 
 def test_report_rendering():
