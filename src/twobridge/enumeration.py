@@ -13,7 +13,8 @@ which serve as the oracle for every closed form in
 import os
 import signal
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from functools import cache
+from itertools import accumulate, combinations
 from math import comb
 from operator import mul, sub
 
@@ -26,9 +27,10 @@ class ProcessPoolExecutor:
 
     The pool is as wide as the list it maps: ``map(fn, tasks)`` forks one
     child for each task.  Child k pins itself to ``cpus[k]`` unless ``cpus``
-    is empty, one CPU per task (a refused pin is ignored), writes the ints
-    of ``fn(task)`` as text down its own pipe and leaves by ``os._exit``,
-    so it never flushes this process's buffers or runs its exit handlers.
+    is empty, one CPU per task (a refused pin is ignored, and a ``cpus``
+    shorter than the tasks is refused before any fork), writes the ints of
+    ``fn(task)`` as text down its own pipe and leaves by ``os._exit``, so
+    it never flushes this process's buffers or runs its exit handlers.
     The parent only waits: it reads each pipe and reaps each child in task
     order, and raises ``ChildProcessError`` naming the exit status of the
     first child that failed.  A fork that fails closes its pipe before the
@@ -50,7 +52,14 @@ class ProcessPoolExecutor:
         return False
 
     def map(self, fn, tasks) -> list:
-        """A list of ``list(fn(task))`` for each task, each run in its own child."""
+        """A list of ``list(fn(task))`` for each task, each run in its own child.
+
+        Raises ``ValueError`` before any fork if ``cpus`` is not empty and
+        holds fewer CPUs than there are tasks.
+        """
+        tasks = list(tasks)
+        if self._cpus and len(self._cpus) < len(tasks):
+            raise ValueError(f"{len(tasks)} tasks need one CPU each, but the pool has {len(self._cpus)}")
         for k, task in enumerate(tasks):
             r, w = os.pipe()
             try:
@@ -214,6 +223,31 @@ class Tally:
     by_ell: dict
 
 
+# Swaps the sign bytes of _sign_columns: 2 (+1) and 0 (-1).
+_NEGATE = bytes.maketrans(b"\0\2", b"\2\0")
+
+
+@cache
+def _sign_columns(length: int, changes: int) -> tuple:
+    """The signs of the positive-first patterns of ``sign_patterns(length, changes)``, by position.
+
+    Column j holds one byte per pattern, in pattern order: 2 for +1, 0
+    for -1.  A pattern whose first change is at p is +1 before p, and
+    from p on the negation of a positive-first pattern of length
+    ``length - p`` with one change fewer, taken in their order; the
+    patterns whose first change is after j, C(length - 1 - j, changes)
+    of them, come last and are +1 at j.  So each column is the join of
+    shorter columns, negated with one ``bytes.translate``, then its +1
+    bytes.  ``tallies`` clears the cache when it returns or raises.
+    """
+    if not changes:
+        return (b"\2",) * length
+    return tuple(b"".join([_sign_columns(length - p, changes - 1)[j - p]
+                           for p in range(1, min(j, length - changes) + 1)]).translate(_NEGATE)
+                 + b"\2" * comb(length - 1 - j, changes)
+                 for j in range(length))
+
+
 def _packed_tables(ell: int, m: int, c: int):
     """Packed masks of the (ell, m) units for crossing numbers up to ``c``.
 
@@ -234,7 +268,9 @@ def _packed_tables(ell: int, m: int, c: int):
     its negation, so top cancels.  Written over the cut points
     k_1 < ... < k_{2m-1} of b, with k_0 = 0 and k_{2m} = (c + ell)/2
     (Abel summation), the int is sum_j k_j (A_{j-1} - A_j) + k_{2m} A_{2m-1}
-    for A_j the coefficient of b_j.
+    for A_j the coefficient of b_j.  The signs at position j come from
+    ``_sign_columns``, one byte per positive-first pattern, assigned
+    straight into their strided fields.
 
     Returns ``(steps, end, guards, shift)``: the coefficients of
     k_1..k_{2m-1}, A_{2m-1}, the guard bit of all 3P/2 fields, and the
@@ -248,12 +284,11 @@ def _packed_tables(ell: int, m: int, c: int):
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * half, "little")
     field = bytearray(size * half)
     steps = []
-    for j, signs in enumerate(zip(*islice(sign_patterns(digits, ell), half))):
-        # One byte per positive-first pattern, 2 for +1 and 0 for -1, so
-        # that ``sign`` is +1 or -1 in each of P/2 fields: the sign at
-        # position j.  sign - (sign << shift) adds the negated signs of the
+    for j, column in enumerate(_sign_columns(digits, ell)):
+        # ``sign`` is +1 or -1 in each of P/2 fields: the sign at position
+        # j.  sign - (sign << shift) adds the negated signs of the
         # negative-first patterns above them.
-        field[::size] = bytes(map((1).__add__, signs))
+        field[::size] = column
         sign = int.from_bytes(field, "little") - ones
         # The weights of entry j in a sequence's code and in its partner's.
         own, mirrored = 1 << bits * (digits - 1 - j), 1 << bits * j
@@ -276,16 +311,18 @@ def _orbit_minima(ell: int, m: int, cs: list) -> list:
     a mirror-collapsed one iff in addition ``s <= negate(s)`` (that is,
     ``s[0] < 0``) and ``s <= reverse(s)``.
 
-    Per composition, one sum over its cut points packs the code
-    differences of every sequence and its partners (see
-    ``_packed_tables``).  With a guard bit added, each field lies in
-    [1, 2**width): no borrow crosses a field, and its guard bit is set
-    iff the partner is not below the sequence.  So one bit count of the
-    first P guard bits gives the mirror-distinct minima, and one of the
-    negative-first half of them ANDed with the reversal fields' guard
-    bits the mirror-collapsed minima.  The units share one set of masks,
-    dropped on return; every sequence is still coded and compared with
-    its partners.
+    Per composition, one packed int holds the code differences of every
+    sequence and its partners (see ``_packed_tables``).  It is linear in
+    the cut points, and ``combinations`` mostly moves only the last cut
+    or two, so one running int per unit takes the sum of each cut's move
+    times its step: a cut that did not move adds a product of zero.
+    With a guard bit added, each field lies in [1, 2**width): no borrow
+    crosses a field, and its guard bit is set iff the partner is not
+    below the sequence.  So one bit count of the first P guard bits gives
+    the mirror-distinct minima, and one of the negative-first half of
+    them ANDed with the reversal fields' guard bits the mirror-collapsed
+    minima.  The units share one set of masks, dropped on return; every
+    sequence is still coded and compared with its partners.
     """
     steps, end, guards, shift = _packed_tables(ell, m, max(cs))
     below_rn = guards & ((1 << 2 * shift) - 1)
@@ -293,10 +330,12 @@ def _orbit_minima(ell: int, m: int, cs: list) -> list:
     counts = []
     for c in cs:
         t = (c + ell) // 2
-        base = t * end + guards
+        packed = t * end + guards  # the int at cut points all 0
+        previous = (0,) * (2 * m - 1)
         distinct = collapsed = 0
         for cuts in combinations(range(1, t), 2 * m - 1):
-            packed = sum(map(mul, cuts, steps), base)
+            packed += sum(map(mul, map(sub, cuts, previous), steps))
+            previous = cuts
             distinct += (packed & below_rn).bit_count()
             collapsed += (packed >> shift & packed & negative_first).bit_count()
         counts.append({Mode.MIRROR_DISTINCT: distinct, Mode.MIRROR_COLLAPSED: collapsed})
@@ -314,17 +353,18 @@ def tallies(cs, threads: int = 1) -> dict:
 
     Returns ``{c: {Mode: Tally}}``.  Each (c, ell, m) unit is walked once
     for both modes, and the units of one (ell, m) share its tables, built
-    once per call.  These groups are dealt into one share per worker, most
-    work first, each to the least loaded share.  There are at most
-    ``threads`` workers, one per group and per CPU of this process's
-    affinity set (read once per call, for both the count and the
-    placement), and one where the platform has no ``os.fork``.  One share
-    runs here; two or more are mapped by this module's
-    ``ProcessPoolExecutor``, one forked child per share, each pinned to its
-    own CPU of the set, while this process only waits.  Results fold in
-    order of first appearance (c, then ell, then m), so keys ascend and
-    the outcome is the serial run's.  A ``threads`` that is not a positive
-    ``int`` is refused before any unit runs.
+    once per call from sign columns that all groups of the call share and
+    that are dropped when it returns or raises.  These groups are dealt
+    into one share per worker, most work first, each to the least loaded
+    share.  There are at most ``threads`` workers, one per group and per
+    CPU of this process's affinity set (read once per call, for both the
+    count and the placement), and one where the platform has no
+    ``os.fork``.  One share runs here; two or more are mapped by this
+    module's ``ProcessPoolExecutor``, one forked child per share, each
+    pinned to its own CPU of the set, while this process only waits.
+    Results fold in order of first appearance (c, then ell, then m), so
+    keys ascend and the outcome is the serial run's.  A ``threads`` that
+    is not a positive ``int`` is refused before any unit runs.
     """
     _require_int("threads", threads, 1)
     cs = list(dict.fromkeys(cs))
@@ -352,11 +392,14 @@ def tallies(cs, threads: int = 1) -> dict:
         # Plain ints, each unit's counts in Mode order, for the pool's pipe.
         return [counts[mode] for g in share for counts in _orbit_minima(*g, groups[g]) for mode in Mode]
 
-    if workers > 1:
-        with ProcessPoolExecutor(cpus) as pool:
-            results = pool.map(run, shares)
-    else:
-        results = map(run, shares)
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(cpus) as pool:
+                results = pool.map(run, shares)
+        else:
+            results = list(map(run, shares))
+    finally:
+        _sign_columns.cache_clear()  # the columns serve the groups of this call only
     done = {}
     for share, ints in zip(shares, results):
         ints = iter(ints)

@@ -61,6 +61,12 @@ MUTANTS = [
     ("negative-first fields keep the positive signs", "src/twobridge/enumeration.py",
      "(sign - (sign << shift))", "(sign + (sign << shift))",
      ["tests/test_enumeration.py"]),
+    ("delta sum never updates previous", "src/twobridge/enumeration.py",
+     "            previous = cuts\n", "",
+     ["tests/test_enumeration.py"]),
+    ("sign columns skip the negation", "src/twobridge/enumeration.py",
+     ".translate(_NEGATE)", "",
+     ["tests/test_enumeration.py"]),
     ("class stream skips palindromic compositions", "src/twobridge/enumeration.py",
      "        if rb < b:\n", "        if rb <= b:\n",
      ["tests/test_enumeration.py"]),

@@ -7,7 +7,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 
@@ -27,10 +27,12 @@ from twobridge import (
     tally,
 )
 from twobridge import enumeration
+from twobridge.cli import MAX_ENUM_C
 from twobridge.enumeration import (
     _class_keys,
     _orbit_minima,
     _packed_tables,
+    _sign_columns,
     compositions,
     sign_patterns,
     strata,
@@ -343,6 +345,31 @@ class TestTallies:
         tallies(range(3, 13), threads=2)
         assert started == [[2]]
 
+    @pytest.mark.parametrize("fault", [False, True], ids=["returns", "raises"])
+    def test_sign_columns_kept_within_one_call(self, monkeypatch, fault):
+        # The groups of one call share the columns; none outlives the call,
+        # whether it returns or a group raises after building its tables.
+        _sign_columns.cache_clear()
+        held = []
+
+        def minima(*args):
+            counts = _orbit_minima(*args)
+            held.append(_sign_columns.cache_info().currsize)
+            if fault:
+                raise ArithmeticError("fault after the tables")
+            return counts
+
+        monkeypatch.setattr(enumeration, "_orbit_minima", minima)
+        if fault:
+            with pytest.raises(ArithmeticError):
+                tallies(range(3, 13))
+        else:
+            tallies(range(3, 13))
+        # One group before the fault, else all 18, the memo never emptied between them.
+        assert len(held) == (1 if fault else 18)
+        assert held[0] > 0 and held == sorted(held)
+        assert _sign_columns.cache_info().currsize == 0
+
     def test_empty_range_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", None)
         assert tallies(range(3, 3), threads=2) == {}
@@ -439,6 +466,17 @@ class TestPackedKernel:
                         assert bits[:2 * half] == [s <= tuple(-e for e in reversed(s))
                                                    for s in seqs], (c, ell, m, b, top)
                         assert bits[2 * half:] == [s <= s[::-1] for s in seqs[half:]], (c, ell, m, b, top)
+
+    def test_sign_columns_are_pattern_bytes(self):
+        # Every (2m, ell) the kernel builds up to MAX_ENUM_C: one byte per
+        # positive-first pattern of sign_patterns, 2 for +1 and 0 for -1.
+        try:
+            for length, ell in {(2 * m, ell) for c in range(3, MAX_ENUM_C + 1) for ell, m in strata(c)}:
+                positive_first = islice(sign_patterns(length, ell), comb(length - 1, ell))
+                assert _sign_columns(length, ell) == tuple(bytes(1 + s for s in column)
+                                                           for column in zip(*positive_first)), (length, ell)
+        finally:
+            _sign_columns.cache_clear()
 
     @pytest.mark.parametrize("c", [25, 26])
     def test_extreme_units_equal_burnside(self, c):
@@ -672,6 +710,16 @@ class TestForkPool:
         with pytest.raises(OSError) as raised:
             tallies(range(3, 13), threads=2)
         assert raised.value.errno == errno.EAGAIN and len(calls) == 2
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_fewer_cpus_than_tasks_refused_before_any_fork(self):
+        # Named in this process, not as a child's IndexError on cpus[1];
+        # the fixture checks that no child is left.
+        before = sorted(os.listdir("/proc/self/fd"))
+        with enumeration.ProcessPoolExecutor([0]) as pool:
+            with pytest.raises(ValueError, match=r"^2 tasks need one CPU each, but the pool has 1$"):
+                pool.map(list, [[1], [2]])
         assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_subclass_opened_and_shut_once_per_call(self, monkeypatch):
