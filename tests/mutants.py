@@ -7,14 +7,16 @@ Run from anywhere, with the test dependencies installed:
 For each mutant the tree (src/, tests/ and pyproject.toml) is copied to a
 temporary directory, the old text is replaced there, and the named test
 files run with ``pytest -x``.  A mutant is killed when pytest exits
-nonzero.  The script exits 1 if any mutant survives, or if any old text,
-equivalent mutants' included, does not occur exactly once in its file,
-which is checked for every mutant before any test runs.  The file name
-does not match pytest's ``test_*.py``, so the suite never collects it.
+nonzero or runs past TIMEOUT_S.  The script exits 1 if any mutant
+survives, or if any old text, equivalent mutants' included, does not
+occur exactly once in its file, which is checked for every mutant before
+any test runs.  The file name does not match pytest's ``test_*.py``, so
+the suite never collects it.
 """
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -22,6 +24,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Seconds one mutant's test run may take; a fault that makes the tests loop
+# counts as killed when they run past it, and the run's whole process group,
+# pool children included, is killed.  The slowest listed mutants, "table1
+# always exits 0" and "--threads read from the environment again", took 7
+# to 8.5 s on a shared 2-vCPU host with Python 3.11.
+TIMEOUT_S = 120
 
 # (name, file, old text, new text, test files that must fail).
 MUTANTS = [
@@ -145,7 +154,8 @@ def _check_texts() -> bool:
     return ok
 
 
-def _killed(file: str, old: str, new: str, tests: list) -> bool:
+def _killed(file: str, old: str, new: str, tests: list) -> str | None:
+    """How the named tests failed under the mutant, or None if they passed."""
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp, part),
@@ -154,10 +164,14 @@ def _killed(file: str, old: str, new: str, tests: list) -> bool:
         target = Path(tmp, file)
         target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src"))}
-        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                              *tests], cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
-        return run.returncode != 0
+        with subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *tests], cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, start_new_session=True) as run:
+            try:
+                return "killed" if run.wait(timeout=TIMEOUT_S) else None
+            except subprocess.TimeoutExpired:
+                os.killpg(run.pid, signal.SIGKILL)
+                return f"killed (timed out after {TIMEOUT_S} s)"
 
 
 def main() -> int:
@@ -169,7 +183,7 @@ def main() -> int:
     for name, file, old, new, tests in MUTANTS:
         start = time.perf_counter()
         killed = _killed(file, old, new, tests)
-        print(f"{'killed' if killed else 'SURVIVED'} in {time.perf_counter() - start:.1f} s: {name}")
+        print(f"{killed or 'SURVIVED'} in {time.perf_counter() - start:.1f} s: {name}")
         if not killed:
             survivors.append(name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")

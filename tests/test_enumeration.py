@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 from pathlib import Path
@@ -14,15 +13,13 @@ from pathlib import Path
 import pytest
 
 from twobridge import (
-    EvenSequence,
     Mode,
+    Tally,
     canonicalize,
     crossing_number,
     enumerate_classes,
     enumerate_sequences,
     genus,
-    sign_changes,
-    stratum_closed_A,
     tallies,
     tally,
 )
@@ -138,6 +135,21 @@ def groups(cs):
     return found
 
 
+def roll_up(units):
+    """{c: {Mode: Tally}} of per-unit class counts {(c, ell, m): {Mode: n}}: a reference fold."""
+    folds = {}
+    for (c, ell, m), counts in units.items():
+        for mode, n in counts.items():
+            by_genus, by_ell = folds.setdefault(c, {}).setdefault(mode, ({}, {}))
+            by_genus[m] = by_genus.get(m, 0) + n
+            count, genus_sum = by_ell.get(ell, (0, 0))
+            by_ell[ell] = (count + n, genus_sum + m * n)
+    return {c: {mode: Tally(c, mode, sum(by_genus.values()), sum(g * n for g, n in by_genus.items()),
+                            by_genus, by_ell)
+                for mode, (by_genus, by_ell) in by_mode.items()}
+            for c, by_mode in folds.items()}
+
+
 def unit_sequences(c, ell, m):
     """Each sequence of one (ell, m) unit written out entry by entry, in stream order."""
     patterns = list(sign_patterns(2 * m, ell))
@@ -175,78 +187,25 @@ class TestEnumerateClasses:
             assert all(type(key) is tuple for key in keys)
             assert keys == [tuple(kc.canonical) for kc in enumerate_classes(c, mode)], c
 
-    @pytest.mark.parametrize("mode", [D, C], ids=["D", "C"])
-    def test_unit_counts_equal_orbit_minima(self, mode):
-        per_unit = Counter(
-            (crossing_number(kc.canonical), sign_changes(kc.canonical), genus(kc.canonical))
-            for c in range(3, 17) for kc in enumerate_classes(c, mode)
-        )
-        for (ell, m), cs in groups(range(3, 17)).items():
-            for c, counts in zip(cs, _orbit_minima(ell, m, cs), strict=True):
-                assert per_unit.pop((c, ell, m), 0) == counts[mode], (c, ell, m)
-        assert not per_unit
-
-
-    @pytest.mark.parametrize("mode", [D, C], ids=["D", "C"])
-    def test_keys_pass_validation(self, mode):
-        # Built without the check, so each key must pass it when made again.
-        for c in range(3, 15):
-            for kc in enumerate_classes(c, mode):
-                assert type(kc.canonical) is EvenSequence
-                assert EvenSequence(list(kc.canonical)) == kc.canonical, (c, kc)
-
-
-class TestTally:
-    def test_internal_consistency(self):
-        for c in range(3, 13):
-            for mode in (D, C):
-                t = tally(c, mode)
-                assert t.knot_count == sum(t.by_genus.values())
-                assert t.knot_count == sum(n for n, _ in t.by_ell.values())
-                assert t.total_genus == sum(g * n for g, n in t.by_genus.items())
-                assert t.total_genus == sum(gs for _, gs in t.by_ell.values())
-                assert all(ell % 2 == c % 2 for ell in t.by_ell)
-
-    def test_top_stratum_empty_at_even_c(self):
-        # The reconciled reading of the garbled boundary expression,
-        # 2^(k-l-2) C(k+l-1, k-l-1) - 1/2 at l = k-1, evaluates to zero,
-        # and enumeration indeed finds no knots with c - 2 sign changes.
-        for c in (4, 6, 8, 10, 12, 14):
-            k = c // 2
-            reconciled = (
-                Fraction(2) ** (k - (k - 1) - 2) * comb(2 * k - 2, 0)
-                - Fraction(1, 2)
-            )
-            assert reconciled == 0
-            assert stratum_closed_A(k, k - 1, "even") == 0
-            assert c - 2 not in tally(c, D).by_ell
 
 class TestTallies:
     def test_orbit_minima_equal_set_dedupe_per_unit(self, monkeypatch):
         # The set route counts distinct orbit minima; the kernel counts
         # sequences that are their own minimum.  Unit by unit, both modes,
-        # each (ell, m) group in one call.  The set counts, rolled up by
-        # genus and by ell, are also what tallies reports, serially and
-        # through the recording pool.
+        # each (ell, m) group in one call.  The set counts, rolled up, are
+        # also what tallies reports, serially and through the recording pool.
         cs = range(3, 17)
-        want = {(c, mode): ({}, {}) for c in cs for mode in (D, C)}
+        units = {}
         for (ell, m), group in groups(cs).items():
             for c, got in zip(group, _orbit_minima(ell, m, group), strict=True):
-                for mode in (D, C):
-                    keys = {canonicalize(s, mode).canonical for s in unit_sequences(c, ell, m)}
-                    assert got[mode] == len(keys), (c, ell, m, mode)
-                    by_genus, by_ell = want[c, mode]
-                    by_genus[m] = by_genus.get(m, 0) + len(keys)
-                    n, genus_sum = by_ell.get(ell, (0, 0))
-                    by_ell[ell] = (n + len(keys), genus_sum + m * len(keys))
+                units[c, ell, m] = {mode: len({canonicalize(s, mode).canonical
+                                               for s in unit_sequences(c, ell, m)}) for mode in Mode}
+                assert got == units[c, ell, m], (c, ell, m)
         # pool_sizes leaves its recording pool in place for the run at 2.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert pool_sizes(monkeypatch, cs, 2) == [2]
         for threads in (1, 2):
-            found = tallies(cs, threads)
-            for (c, mode), (by_genus, by_ell) in want.items():
-                assert found[c][mode].by_genus == by_genus, (c, mode, threads)
-                assert found[c][mode].by_ell == by_ell, (c, mode, threads)
+            assert tallies(cs, threads) == roll_up(units), threads
 
     def test_both_modes_match_tally(self):
         found = tallies(range(3, 13))
@@ -261,21 +220,6 @@ class TestTallies:
         once = tallies([12, 5], threads)
         assert once[12][D].knot_count == 341
         assert list(tallies([12, 12, 5], threads).items()) == list(once.items())
-
-    def test_no_pool_module_loads(self):
-        # In a fresh interpreter: this process may have loaded them already.
-        code = (
-            "import json, os, sys\n"
-            "import twobridge.cli\n"
-            "from twobridge.enumeration import tallies\n"
-            + FAKE_TWO_CPUS_AND_COUNT_FORKS +
-            "same = all(tallies(range(3, 15), t) == tallies(range(3, 15)) for t in (1, 2, 4))\n"
-            "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
-            "print(json.dumps([loaded, same, len(forks)]))\n"
-        )
-        loaded, same, forks = json.loads(fresh_python(code))
-        # Two children each at 2 and 4 threads, for the two faked CPUs.
-        assert loaded == [] and same and forks == 4
 
     def test_deal_balances_shares(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
@@ -325,25 +269,6 @@ class TestTallies:
                 for mode in (D, C):
                     assert list(by_mode[mode].by_genus) == sorted(by_mode[mode].by_genus)
                     assert list(by_mode[mode].by_ell) == sorted(by_mode[mode].by_ell)
-
-    def test_one_pool_per_call(self, monkeypatch):
-        started = []
-
-        class CountingPool(enumeration.ProcessPoolExecutor):
-            # One list per pool, of the number of shares each map call maps.
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append([])
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                started[-1].append(len(tasks))
-                return super().map(fn, tasks)
-
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        tallies(range(3, 13), threads=2)
-        assert started == [[2]]
 
     @pytest.mark.parametrize("fault", [False, True], ids=["returns", "raises"])
     def test_sign_columns_kept_within_one_call(self, monkeypatch, fault):
@@ -427,20 +352,10 @@ class TestBurnside:
                 assert counts == burnside_unit(c, ell, m), (c, ell, m)
 
     def test_roll_up_equals_tallies(self):
-        # The genus histogram and the strata, both modes, to c = 22: past
-        # the set route (c <= 16) and the unit check above.
+        # Both modes, to c = 22: past the set route (c <= 16) and the unit check above.
         cs = range(3, 23)
-        found = tallies(cs)
-        for c in cs:
-            for mode in (D, C):
-                by_genus, by_ell = {}, {}
-                for ell, m in strata(c):
-                    n = burnside_unit(c, ell, m)[mode]
-                    by_genus[m] = by_genus.get(m, 0) + n
-                    count, genus_sum = by_ell.get(ell, (0, 0))
-                    by_ell[ell] = (count + n, genus_sum + m * n)
-                assert found[c][mode].by_genus == by_genus, (c, mode)
-                assert found[c][mode].by_ell == by_ell, (c, mode)
+        units = {(c, ell, m): burnside_unit(c, ell, m) for c in cs for ell, m in strata(c)}
+        assert tallies(cs) == roll_up(units)
 
 
 class TestPackedKernel:
@@ -549,21 +464,6 @@ def pins(monkeypatch, tmp_path, cs, threads, refuse=False):
     return [json.loads(line) for line in log.read_text().splitlines()]
 
 
-# For fresh_python: two CPUs faked, so that a pool starts on any host (a
-# refused pin costs the children nothing), and the list ``forks`` of the
-# children this process forks.
-FAKE_TWO_CPUS_AND_COUNT_FORKS = (
-    "os.sched_getaffinity = lambda pid: {0, 1}\n"
-    "forks, fork = [], os.fork\n"
-    "def counted():\n"
-    "    pid = fork()\n"
-    "    if pid:\n"
-    "        forks.append(pid)\n"
-    "    return pid\n"
-    "os.fork = counted\n"
-)
-
-
 def fresh_python(code):
     """Stdout of ``code`` run, warnings as errors, in a fresh interpreter with this tree's twobridge."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -604,8 +504,10 @@ class TestWorkerCount:
 
     def test_one_cpu_per_worker_in_affinity_order(self, monkeypatch, tmp_path):
         # Through real forks: each child pins itself, and this process, with
-        # its own affinity and its other children, is never placed.
+        # its own affinity and its other children, is never placed.  The
+        # affinity set, not the machine's CPU count, bounds the workers.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         for threads, cpus in ((8, [0, 3, 5]), (2, [0, 3])):
             calls = pins(monkeypatch, tmp_path, range(3, 13), threads)
             # One call per child, each on itself, to one CPU, no two alike.
@@ -645,11 +547,6 @@ class TestWorkerCount:
         assert len(children) == 2
         assert all(len(cpus) == 1 for cpus in children.values())
         assert sorted(cpu for [cpu] in children.values()) == before[:2]
-
-    def test_affinity_counts_not_the_machine(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert pool_sizes(monkeypatch, range(3, 13), 8) == [3]
 
     def test_affinity_read_once_per_call(self, monkeypatch, tmp_path):
         # A set that changes after its first read: the clamp and the
@@ -733,6 +630,11 @@ class TestForkPool:
                 super().__init__(*args, **kwargs)
                 events.append("init")
 
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                events.append(f"map {len(tasks)}")
+                return super().map(fn, tasks)
+
             def shutdown(self, *args, **kwargs):
                 try:
                     super().shutdown(*args, **kwargs)
@@ -742,12 +644,13 @@ class TestForkPool:
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SpannedPool)
         serial = tallies(range(3, 13))
         assert events == []
+        # One pool per call, mapping one share per worker in one call.
         assert tallies(range(3, 13), threads=2) == serial
-        assert events == ["init", "shutdown"]
+        assert events == ["init", "map 2", "shutdown"]
         monkeypatch.setattr(enumeration, "_orbit_minima", lambda *args: 1 // 0)
         with pytest.raises(ChildProcessError):
             tallies(range(3, 13), threads=2)
-        assert events == ["init", "shutdown"] * 2
+        assert events == ["init", "map 2", "shutdown"] * 2
 
     def test_interrupt_while_children_run_propagates(self, monkeypatch):
         # The children sleep; a timer in this process interrupts its wait,
@@ -769,15 +672,28 @@ class TestForkPool:
         assert time.monotonic() - start < 30
 
     def test_children_leave_stdout_and_exit_handlers_alone(self):
-        # A buffered write and an exit handler in a fresh interpreter: a
-        # child that flushed or ran them would print them again.
+        # In a fresh interpreter, which has loaded no pool module yet: a
+        # buffered write and an exit handler, which a child that flushed or
+        # ran them would print again.  Two CPUs are faked, so that a pool
+        # starts on any host (a refused pin costs the children nothing), and
+        # the forks counted: two children each at 2 and 4 threads.  Neither
+        # pool module may be loaded by the CLI import or the pool.
         code = (
             "import atexit, os, sys\n"
+            "import twobridge.cli\n"
             "from twobridge.enumeration import tallies\n"
-            + FAKE_TWO_CPUS_AND_COUNT_FORKS +
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "def counted():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        forks.append(pid)\n"
+            "    return pid\n"
+            "os.fork = counted\n"
             "atexit.register(lambda: sys.stdout.write('exit handler\\n'))\n"
             "sys.stdout.write('pending ')\n"
-            "same = tallies(range(3, 15), threads=2) == tallies(range(3, 15))\n"
-            "sys.stdout.write(f'{len(forks)} {same}\\n')\n"
+            "same = all(tallies(range(3, 15), t) == tallies(range(3, 15)) for t in (1, 2, 4))\n"
+            "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+            "sys.stdout.write(f'{len(forks)} {same} {loaded}\\n')\n"
         )
-        assert fresh_python(code) == "pending 2 True\nexit handler\n"
+        assert fresh_python(code) == "pending 4 True []\nexit handler\n"

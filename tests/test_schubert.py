@@ -12,13 +12,14 @@ from the even expansion of q/p or (q - p)/p, whichever numerator is
 even.  Nothing here rests on even sequences up to reverse-negation.
 """
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from twobridge import Mode, crossing_number, even_expansion, genus, is_amphichiral, sign_changes, tallies
+
+from test_enumeration import roll_up
 
 
 def schubert_classes(c):
@@ -43,18 +44,12 @@ def schubert_classes(c):
 
 
 def check(c):
-    """Require knot count, total genus, by_genus and by_ell of c to equal tallies' in both modes."""
-    counted = tallies([c])[c]
+    """Require the Schubert classes of c, rolled up, to equal tallies' whole Tally in both modes."""
+    units = {}
     for mode, classes in schubert_classes(c).items():
-        t = counted[mode]
-        by_ell = {}
         for g, ell in classes.values():
-            n, genus_sum = by_ell.get(ell, (0, 0))
-            by_ell[ell] = (n + 1, genus_sum + g)
-        assert len(classes) == t.knot_count, (c, mode)
-        assert sum(g for g, _ in classes.values()) == t.total_genus, (c, mode)
-        assert dict(Counter(g for g, _ in classes.values())) == t.by_genus, (c, mode)
-        assert by_ell == t.by_ell, (c, mode)
+            units.setdefault((c, ell, g), dict.fromkeys(Mode, 0))[mode] += 1
+    assert tallies([c]) == roll_up(units), c
 
 
 @pytest.mark.parametrize("c", range(3, 17))
