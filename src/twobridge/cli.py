@@ -68,8 +68,9 @@ from .knots import Mode, canonicalize, is_amphichiral
 MAX_ENUM_C = 26
 
 # Largest n of the identity checks, a work budget: wellknown_check is
-# cubic in n, and verify --identities took 2.2 s at n = 256 and 9.0 s at
-# n = 384 on the same host.
+# cubic in n, and verify --identities --max-n 256 took 1.6 s and
+# identity_suite(384) 6.7 s on the same host (medians of 7, each run in a
+# fresh process; the CLI refuses n > 256).
 MAX_IDENTITY_N = 256
 
 # Characters per write of streamed output: click.echo flushes stdout on

@@ -13,7 +13,6 @@ which serve as the oracle for every closed form in
 import os
 import signal
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate, combinations
 from math import comb
 from operator import mul, sub
@@ -227,8 +226,7 @@ class Tally:
 _NEGATE = bytes.maketrans(b"\0\2", b"\2\0")
 
 
-@cache
-def _sign_columns(length: int, changes: int) -> tuple:
+def _sign_columns(length: int, changes: int, memo: dict) -> tuple:
     """The signs of the positive-first patterns of ``sign_patterns(length, changes)``, by position.
 
     Column j holds one byte per pattern, in pattern order: 2 for +1, 0
@@ -238,17 +236,22 @@ def _sign_columns(length: int, changes: int) -> tuple:
     patterns whose first change is after j, C(length - 1 - j, changes)
     of them, come last and are +1 at j.  So each column is the join of
     shorter columns, negated with one ``bytes.translate``, then its +1
-    bytes.  ``tallies`` clears the cache when it returns or raises.
+    bytes.  ``memo`` maps (length, changes) to the columns built so far,
+    and is filled here; the caller creates it and decides what shares it.
     """
     if not changes:
         return (b"\2",) * length
-    return tuple(b"".join([_sign_columns(length - p, changes - 1)[j - p]
-                           for p in range(1, min(j, length - changes) + 1)]).translate(_NEGATE)
-                 + b"\2" * comb(length - 1 - j, changes)
-                 for j in range(length))
+    key = length, changes
+    if key not in memo:
+        # shorter[p - 1]: the columns that follow a first change at p.
+        shorter = [_sign_columns(length - p, changes - 1, memo) for p in range(1, length - changes + 1)]
+        memo[key] = tuple(b"".join([columns[j - p] for p, columns in enumerate(shorter[:j], 1)])
+                          .translate(_NEGATE) + b"\2" * comb(length - 1 - j, changes)
+                          for j in range(length))
+    return memo[key]
 
 
-def _packed_tables(ell: int, m: int, c: int):
+def _packed_tables(ell: int, m: int, c: int, memo: dict):
     """Packed masks of the (ell, m) units for crossing numbers up to ``c``.
 
     A sequence 2x * p is coded by the digits x_j * p_j + top in base
@@ -269,8 +272,8 @@ def _packed_tables(ell: int, m: int, c: int):
     k_1 < ... < k_{2m-1} of b, with k_0 = 0 and k_{2m} = (c + ell)/2
     (Abel summation), the int is sum_j k_j (A_{j-1} - A_j) + k_{2m} A_{2m-1}
     for A_j the coefficient of b_j.  The signs at position j come from
-    ``_sign_columns``, one byte per positive-first pattern, assigned
-    straight into their strided fields.
+    ``_sign_columns``, which reads and fills ``memo``, one byte per
+    positive-first pattern, assigned straight into their strided fields.
 
     Returns ``(steps, end, guards, shift)``: the coefficients of
     k_1..k_{2m-1}, A_{2m-1}, the guard bit of all 3P/2 fields, and the
@@ -284,7 +287,7 @@ def _packed_tables(ell: int, m: int, c: int):
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * half, "little")
     field = bytearray(size * half)
     steps = []
-    for j, column in enumerate(_sign_columns(digits, ell)):
+    for j, column in enumerate(_sign_columns(digits, ell, memo)):
         # ``sign`` is +1 or -1 in each of P/2 fields: the sign at position
         # j.  sign - (sign << shift) adds the negated signs of the
         # negative-first patterns above them.
@@ -301,7 +304,7 @@ def _packed_tables(ell: int, m: int, c: int):
     return steps, previous, guards, shift
 
 
-def _orbit_minima(ell: int, m: int, cs: list) -> list:
+def _orbit_minima(ell: int, m: int, cs: list, memo: dict) -> list:
     """Class counts in both modes of the (c, ell, m) unit for each c in ``cs``, without a set.
 
     Canonical forms preserve ell, genus and the magnitude multiset, so
@@ -321,10 +324,11 @@ def _orbit_minima(ell: int, m: int, cs: list) -> list:
     below the sequence.  So one bit count of the first P guard bits gives
     the mirror-distinct minima, and one of the negative-first half of
     them ANDed with the reversal fields' guard bits the mirror-collapsed
-    minima.  The units share one set of masks, dropped on return; every
+    minima.  The units share one set of masks, dropped on return, built
+    from the sign columns in ``memo`` (see ``_sign_columns``); every
     sequence is still coded and compared with its partners.
     """
-    steps, end, guards, shift = _packed_tables(ell, m, max(cs))
+    steps, end, guards, shift = _packed_tables(ell, m, max(cs), memo)
     below_rn = guards & ((1 << 2 * shift) - 1)
     negative_first = below_rn >> shift << shift
     counts = []
@@ -353,13 +357,13 @@ def tallies(cs, threads: int = 1) -> dict:
 
     Returns ``{c: {Mode: Tally}}``.  Each (c, ell, m) unit is walked once
     for both modes, and the units of one (ell, m) share its tables, built
-    once per call from sign columns that all groups of the call share and
-    that are dropped when it returns or raises.  These groups are dealt
-    into one share per worker, most work first, each to the least loaded
-    share.  There are at most ``threads`` workers, one per group and per
-    CPU of this process's affinity set (read once per call, for both the
-    count and the placement), and one where the platform has no
-    ``os.fork``.  One share runs here; two or more are mapped by this
+    once per call.  These groups are dealt into one share per worker, most
+    work first, each to the least loaded share, and the groups of a share
+    build their tables from one memo of sign columns, which the share's
+    run creates and drops.  There are at most ``threads`` workers, one per
+    group and per CPU of this process's affinity set (read once per call,
+    for both the count and the placement), and one where the platform has
+    no ``os.fork``.  One share runs here; two or more are mapped by this
     module's ``ProcessPoolExecutor``, one forked child per share, each
     pinned to its own CPU of the set, while this process only waits.
     Results fold in order of first appearance (c, then ell, then m), so
@@ -380,8 +384,10 @@ def tallies(cs, threads: int = 1) -> dict:
     # Never more workers than groups or CPUs, and one where there is no fork.
     workers = (min(threads, len(groups), len(cpus) or os.cpu_count() or 1)
                if hasattr(os, "fork") else 1)
-    # The largest group first, to the least loaded share: at c <= 26 the
-    # largest share of 2 or 4 stays within 0.1% of the mean.
+    # The largest group first, to the least loaded share.  For the sweeps
+    # range(3, c + 1) of verify and table1, at 20 <= c <= 26, the largest
+    # share of 2 or 4 stays within 0.01% of the mean; a single c, as
+    # enumerate tallies it, has fewer groups: 1.1% over at c = 20, 4 shares.
     shares, loads = [[] for _ in range(workers)], [0] * workers
     for g in order:
         k = loads.index(min(loads))
@@ -390,16 +396,14 @@ def tallies(cs, threads: int = 1) -> dict:
 
     def run(share):
         # Plain ints, each unit's counts in Mode order, for the pool's pipe.
-        return [counts[mode] for g in share for counts in _orbit_minima(*g, groups[g]) for mode in Mode]
+        memo = {}  # sign columns, built once for all the groups of this share
+        return [counts[mode] for g in share for counts in _orbit_minima(*g, groups[g], memo) for mode in Mode]
 
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(cpus) as pool:
-                results = pool.map(run, shares)
-        else:
-            results = list(map(run, shares))
-    finally:
-        _sign_columns.cache_clear()  # the columns serve the groups of this call only
+    if workers > 1:
+        with ProcessPoolExecutor(cpus) as pool:
+            results = pool.map(run, shares)
+    else:
+        results = list(map(run, shares))
     done = {}
     for share, ints in zip(shares, results):
         ints = iter(ints)

@@ -76,6 +76,12 @@ MUTANTS = [
     ("sign columns skip the negation", "src/twobridge/enumeration.py",
      ".translate(_NEGATE)", "",
      ["tests/test_enumeration.py"]),
+    ("each group gets a fresh sign-column memo", "src/twobridge/enumeration.py",
+     "_orbit_minima(*g, groups[g], memo)", "_orbit_minima(*g, groups[g], {})",
+     ["tests/test_enumeration.py"]),
+    ("the memo key ignores the change count", "src/twobridge/enumeration.py",
+     "key = length, changes", "key = length",
+     ["tests/test_enumeration.py"]),
     ("class stream skips palindromic compositions", "src/twobridge/enumeration.py",
      "        if rb < b:\n", "        if rb <= b:\n",
      ["tests/test_enumeration.py"]),

@@ -197,7 +197,7 @@ class TestTallies:
         cs = range(3, 17)
         units = {}
         for (ell, m), group in groups(cs).items():
-            for c, got in zip(group, _orbit_minima(ell, m, group), strict=True):
+            for c, got in zip(group, _orbit_minima(ell, m, group, {}), strict=True):
                 units[c, ell, m] = {mode: len({canonicalize(s, mode).canonical
                                                for s in unit_sequences(c, ell, m)}) for mode in Mode}
                 assert got == units[c, ell, m], (c, ell, m)
@@ -247,9 +247,9 @@ class TestTallies:
         # The recording pool maps in this process, so every table build is seen.
         built = Counter()
 
-        def counted(ell, m, c):
+        def counted(ell, m, c, memo):
             built[ell, m] += 1
-            return _packed_tables(ell, m, c)
+            return _packed_tables(ell, m, c, memo)
 
         monkeypatch.setattr(enumeration, "_packed_tables", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -270,30 +270,25 @@ class TestTallies:
                     assert list(by_mode[mode].by_genus) == sorted(by_mode[mode].by_genus)
                     assert list(by_mode[mode].by_ell) == sorted(by_mode[mode].by_ell)
 
-    @pytest.mark.parametrize("fault", [False, True], ids=["returns", "raises"])
-    def test_sign_columns_kept_within_one_call(self, monkeypatch, fault):
-        # The groups of one call share the columns; none outlives the call,
-        # whether it returns or a group raises after building its tables.
-        _sign_columns.cache_clear()
-        held = []
+    def test_groups_of_a_call_share_one_sign_column_memo(self, monkeypatch):
+        # Run serially, one share holds all 18 groups: they fill one memo,
+        # which only grows, and which the next call does not see.
+        seen, memos = [], []
 
-        def minima(*args):
-            counts = _orbit_minima(*args)
-            held.append(_sign_columns.cache_info().currsize)
-            if fault:
-                raise ArithmeticError("fault after the tables")
+        def minima(ell, m, cs, memo):
+            counts = _orbit_minima(ell, m, cs, memo)
+            seen.append((memo, len(memo)))
             return counts
 
         monkeypatch.setattr(enumeration, "_orbit_minima", minima)
-        if fault:
-            with pytest.raises(ArithmeticError):
-                tallies(range(3, 13))
-        else:
+        for _ in range(2):
+            seen.clear()
             tallies(range(3, 13))
-        # One group before the fault, else all 18, the memo never emptied between them.
-        assert len(held) == (1 if fault else 18)
-        assert held[0] > 0 and held == sorted(held)
-        assert _sign_columns.cache_info().currsize == 0
+            sizes = [size for _, size in seen]
+            assert len(seen) == 18 and sizes[0] > 0 and sizes == sorted(sizes)
+            assert all(memo is seen[0][0] for memo, _ in seen)
+            memos.append(seen[0][0])
+        assert memos[0] is not memos[1]
 
     def test_empty_range_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", None)
@@ -348,7 +343,7 @@ def burnside_unit(c, ell, m):
 class TestBurnside:
     def test_unit_counts_equal_orbit_minima(self):
         for (ell, m), cs in groups(range(3, 21)).items():
-            for c, counts in zip(cs, _orbit_minima(ell, m, cs), strict=True):
+            for c, counts in zip(cs, _orbit_minima(ell, m, cs, {}), strict=True):
                 assert counts == burnside_unit(c, ell, m), (c, ell, m)
 
     def test_roll_up_equals_tallies(self):
@@ -370,7 +365,7 @@ class TestPackedKernel:
                 patterns = list(sign_patterns(2 * m, ell))
                 half = len(patterns) // 2
                 for top in (c, c + 4):
-                    steps, end, guards, shift = _packed_tables(ell, m, top)
+                    steps, end, guards, shift = _packed_tables(ell, m, top, {})
                     width = shift // half
                     guard = guards & ((1 << width) - 1)
                     for cuts, b in zip(combinations(range(1, t), 2 * m - 1),
@@ -384,14 +379,13 @@ class TestPackedKernel:
 
     def test_sign_columns_are_pattern_bytes(self):
         # Every (2m, ell) the kernel builds up to MAX_ENUM_C: one byte per
-        # positive-first pattern of sign_patterns, 2 for +1 and 0 for -1.
-        try:
-            for length, ell in {(2 * m, ell) for c in range(3, MAX_ENUM_C + 1) for ell, m in strata(c)}:
-                positive_first = islice(sign_patterns(length, ell), comb(length - 1, ell))
-                assert _sign_columns(length, ell) == tuple(bytes(1 + s for s in column)
-                                                           for column in zip(*positive_first)), (length, ell)
-        finally:
-            _sign_columns.cache_clear()
+        # positive-first pattern of sign_patterns, 2 for +1 and 0 for -1,
+        # with one memo across them all.
+        memo = {}
+        for length, ell in {(2 * m, ell) for c in range(3, MAX_ENUM_C + 1) for ell, m in strata(c)}:
+            positive_first = islice(sign_patterns(length, ell), comb(length - 1, ell))
+            assert _sign_columns(length, ell, memo) == tuple(bytes(1 + s for s in column)
+                                                             for column in zip(*positive_first)), (length, ell)
 
     @pytest.mark.parametrize("c", [25, 26])
     def test_extreme_units_equal_burnside(self, c):
@@ -405,10 +399,10 @@ class TestPackedKernel:
         if c == 26:
             assert most == (10, 9) and 2 * comb(17, 10) == 38_896
         for ell, m in (widest, most):
-            assert _orbit_minima(ell, m, [c]) == [burnside_unit(c, ell, m)], (ell, m)
+            assert _orbit_minima(ell, m, [c], {}) == [burnside_unit(c, ell, m)], (ell, m)
         ell, m = widest
         cs = [d for d in range(3, c + 1) if (ell, m) in strata(d)]
-        assert _orbit_minima(ell, m, cs) == [burnside_unit(d, ell, m) for d in cs]
+        assert _orbit_minima(ell, m, cs, {}) == [burnside_unit(d, ell, m) for d in cs]
 
 
 def pool_sizes(monkeypatch, cs, threads, dealt=None):
